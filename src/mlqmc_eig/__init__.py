@@ -72,7 +72,6 @@ from .estimators import (
     mlmc_estimate,
     mlqmc_estimate,
     qmc_single_level,
-    sample_eigenvalue_direct,
     sample_level_difference,
 )
 

@@ -28,6 +28,7 @@ from .estimators import (
     MlqmcReport,
     adaptive_mlqmc,
     default_levels,
+    largest_variance_per_work,
     mc_estimate,
     mlqmc_estimate,
     mlmc_estimate,
@@ -194,6 +195,12 @@ def _csv_text(rows) -> str:
 
 
 def _run_one(config: ExperimentConfig, problem, z, tolerance=None) -> MlqmcReport:
+    """The configured estimator's report; adaptive MLQMC when given a tolerance."""
+    if tolerance is not None:
+        return adaptive_mlqmc(problem, tolerance, config.n_shifts, z, config.seed,
+                              options=config.options, s=config.s,
+                              s_policy=config.s_policy, max_level=config.max_level,
+                              max_workers=config.threads)
     if config.estimator == "mc":
         return mc_estimate(problem, config.mesh_exponent, config.s,
                            config.n_points, config.seed, rq_tol=config.rq_tol)
@@ -207,11 +214,6 @@ def _run_one(config: ExperimentConfig, problem, z, tolerance=None) -> MlqmcRepor
         return mlmc_estimate(problem, config.level_points, config.seed,
                              s=config.s, s_policy=config.s_policy,
                              rq_tol=config.rq_tol)
-    if tolerance is not None:
-        return adaptive_mlqmc(problem, tolerance, config.n_shifts, z, config.seed,
-                              options=config.options, s=config.s,
-                              s_policy=config.s_policy, max_level=config.max_level,
-                              max_workers=config.threads)
     if not config.level_points:
         raise ConfigError("mlqmc needs 'tolerances' or a 'levels' list of N values")
     levels = default_levels(config.level_points, s=config.s, s_policy=config.s_policy)
@@ -245,23 +247,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     reports = []
     cost_rows = [list(COST_CSV_COLUMNS)]
     achieved = True
-    if config.estimator == "mlqmc" and config.tolerances:
-        for eps in config.tolerances:
-            try:
-                rep = adaptive_mlqmc(
-                    problem, eps, config.n_shifts, z, config.seed,
-                    options=config.options, s=config.s, s_policy=config.s_policy,
-                    max_level=config.max_level, max_workers=config.threads,
-                )
-            except MaxLevelExceededError:
-                achieved = False
-                break
-            reports.append((eps, rep))
-            cost_rows.append(_cost_row(rep, eps))
-    else:
-        rep = _run_one(config, problem, z)
-        reports.append((None, rep))
-        cost_rows.append(_cost_row(rep, None))
+    adaptive = config.estimator == "mlqmc" and config.tolerances
+    for eps in config.tolerances if adaptive else [None]:
+        try:
+            rep = _run_one(config, problem, z, eps)
+        except MaxLevelExceededError:
+            achieved = False
+            break
+        reports.append((eps, rep))
+        cost_rows.append(_cost_row(rep, eps))
 
     level_rows = None
     for _, rep in reports:
@@ -360,11 +354,7 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
     cost_rows = [list(COST_CSV_COLUMNS)]
     status = 0
     for eps in tolerances:
-        base = adaptive_mlqmc(
-            problem, eps, config.n_shifts, z, config.seed,
-            options=config.options, s=config.s, s_policy=config.s_policy,
-            max_level=config.max_level, max_workers=config.threads,
-        )
+        base = _run_one(config, problem, z, eps)
         finest = max(lv.ell for lv in base.levels)
         var_target = eps ** 2 / 2.0
         for kind in kinds:
@@ -413,9 +403,7 @@ def _grow_mlmc(problem, config, eps, finest):
                             s_policy=config.s_policy, rq_tol=config.rq_tol)
         if rep.total_variance <= var_target:
             return rep
-        per_level = [lv.variance / (lv.work_units / lv.n_points * lv.n_points)
-                     for lv in rep.levels]
-        counts[int(np.argmax(per_level))] *= 2
+        counts[largest_variance_per_work(rep.levels)] *= 2
         if max(counts) > 1 << 22:
             return None
 

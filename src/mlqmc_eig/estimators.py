@@ -1,13 +1,18 @@
 """Single-level and multilevel MC/QMC estimators of the expected eigenvalue.
 
 The multilevel estimator telescopes E[lambda_L] over a hierarchy of
-meshes (and optionally truncation dimensions), computing each level
-expectation with a shift-averaged rank-1 lattice rule.  Per sample the
-two-grid update replaces the fine eigensolve by one shifted solve, and
-within each (level, shift) stream the eigensolver is warm-started from
-the previous lattice point, so the points must be visited in order.
-Streams are independent of each other and are reduced in a fixed order,
-which keeps estimates reproducible under parallel execution.
+meshes (and optionally truncation dimensions).  All four estimators
+(MC, QMC, MLMC, MLQMC) share one pipeline: per level, one or more point
+streams are run through the same per-sample kernel,
+``sample_level_difference``, and one reducer turns the streams into the
+level's report row.  Only the point source differs: R randomly shifted
+rank-1 lattice streams per level, or a single seeded i.i.d. stream.  MC
+is the level-0 case of MLMC.  Per sample the two-grid update replaces
+the fine eigensolve by one shifted solve, and within each lattice stream
+the eigensolver is warm-started from the previous point, so the points
+must be visited in order.  Streams are independent of each other and
+are reduced in a fixed order, which keeps estimates reproducible under
+parallel execution.
 """
 
 from __future__ import annotations
@@ -144,163 +149,100 @@ class EstimatorOptions:
         return asdict(self)
 
 
-@dataclass
-class SampleRecord:
-    """Work bookkeeping for a single telescoped sample."""
+def _priced(stats: SolveStats, mesh: TriMesh, s: int) -> SolveStats:
+    """``stats`` with the deterministic work of one assembly and its solves.
 
-    delta: float
-    coarse_rq_iterations: int = 0
-    coarse_linear_solves: int = 0
-    fine_linear_solves: int = 0
-    factorizations: int = 0
-    work_units: float = 0.0
-    wall_time: float = 0.0
-
-
-def _work(stats: SolveStats, dofs: int) -> float:
-    return dofs * (stats.linear_solves + _FACTOR_WORK * stats.factorizations)
+    Work is counted in units of the matrix dimension: one per linear
+    solve, ``_FACTOR_WORK`` per factorization, plus s terms per element
+    for assembling the truncated coefficient.  Every term is an integer,
+    so sums of work units are exact in any order.
+    """
+    stats.work_units = (mesh.n_interior
+                        * (stats.linear_solves + _FACTOR_WORK * stats.factorizations)
+                        + s * mesh.n_elements)
+    return stats
 
 
-def _dofs(mesh: TriMesh) -> int:
-    return mesh.n_interior
-
-
-def sample_eigenvalue_direct(problem: CoefficientSeries, level: LevelParams, y,
-                             rq_tol: float = 5e-8) -> tuple[float, SolveStats]:
-    """Plain eigenvalue sample at (h_ell, s_ell) via the safeguarded cold solve."""
-    y = np.asarray(getattr(y, "values", y), dtype=float)
-    mesh = build_uniform_mesh(level.mesh_exponent)
-    A = stiffness_interior(mesh, problem, y[:level.s])
-    M = mass_interior(mesh, problem)
-    pair, stats = smallest_eigenpair_cold(A, M, rq_tol)
-    return pair.lam, stats
+def _assembled(problem: CoefficientSeries, mesh: TriMesh, y: np.ndarray, s: int):
+    return stiffness_interior(mesh, problem, y[:s]), mass_interior(mesh, problem)
 
 
 def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
                             warm_state: Eigenpair | None = None,
                             two_grid: bool = True, rq_tol: float = 5e-8
-                            ) -> tuple[float, Eigenpair | None, SampleRecord]:
+                            ) -> tuple[float, Eigenpair | None, SolveStats]:
     """One telescoped difference lambda^ell - lambda^(ell-1) at parameter y.
 
-    For ell = 0 this is the direct eigenvalue at the coarsest level
-    (warm-started when a previous pair is supplied).  For ell >= 1 one
-    coarse eigensolve feeds two shifted fine solves, one per level of
-    the difference; the returned coarse pair seeds the warm start of the
-    next sample in the same stream.
+    For ell = 0 this is the direct eigenvalue at the coarsest level,
+    warm-started when a previous pair is supplied and a safeguarded cold
+    solve otherwise.  For ell >= 1 one coarse eigensolve feeds two
+    shifted fine solves, one per level of the difference; the returned
+    coarse pair seeds the warm start of the next sample in the same
+    stream.  Without two-grid both levels are solved cold.  The stats
+    count the whole sample; ``rq_iterations`` are the coarse ones.
     """
-    t0 = time.perf_counter()
     y = np.asarray(getattr(y, "values", y), dtype=float)
     mesh = build_uniform_mesh(level.mesh_exponent)
 
     if level.ell == 0:
-        A = stiffness_interior(mesh, problem, y[:level.s])
-        M = mass_interior(mesh, problem)
-        pair, stats = smallest_eigenpair(A, M, rq_tol, warm=warm_state)
-        rec = SampleRecord(
-            delta=pair.lam,
-            coarse_rq_iterations=stats.rq_iterations,
-            coarse_linear_solves=stats.linear_solves,
-            factorizations=stats.factorizations,
-            work_units=_work(stats, _dofs(mesh)) + level.s * mesh.n_elements,
-            wall_time=time.perf_counter() - t0,
-        )
-        return pair.lam, pair, rec
+        pair, stats = smallest_eigenpair(*_assembled(problem, mesh, y, level.s), rq_tol,
+                                         warm=warm_state)
+        return pair.lam, pair, _priced(stats, mesh, level.s)
 
     prev_mesh = build_uniform_mesh(level.mesh_exponent - 1)
-    prev_s = level.prev_s
-
     if not two_grid:
-        A_f = stiffness_interior(mesh, problem, y[:level.s])
-        M_f = mass_interior(mesh, problem)
-        pair_f, st_f = smallest_eigenpair_cold(A_f, M_f, rq_tol)
-        A_p = stiffness_interior(prev_mesh, problem, y[:prev_s])
-        M_p = mass_interior(prev_mesh, problem)
-        pair_p, st_p = smallest_eigenpair_cold(A_p, M_p, rq_tol)
-        delta = pair_f.lam - pair_p.lam
-        rec = SampleRecord(
-            delta=delta,
-            coarse_rq_iterations=st_f.rq_iterations + st_p.rq_iterations,
-            coarse_linear_solves=st_f.linear_solves + st_p.linear_solves,
-            factorizations=st_f.factorizations + st_p.factorizations,
-            work_units=_work(st_f, _dofs(mesh)) + _work(st_p, _dofs(prev_mesh))
-            + level.s * mesh.n_elements + prev_s * prev_mesh.n_elements,
-            wall_time=time.perf_counter() - t0,
-        )
-        return delta, None, rec
+        pair_f, stats = smallest_eigenpair_cold(*_assembled(problem, mesh, y, level.s),
+                                                rq_tol)
+        pair_p, st_p = smallest_eigenpair_cold(
+            *_assembled(problem, prev_mesh, y, level.prev_s), rq_tol)
+        stats = _priced(stats, mesh, level.s).add(_priced(st_p, prev_mesh, level.prev_s))
+        return pair_f.lam - pair_p.lam, None, stats
 
     coarse_mesh = build_uniform_mesh(level.coarse_exponent)
-    A_c = stiffness_interior(coarse_mesh, problem, y[:level.coarse_s])
-    M_c = mass_interior(coarse_mesh, problem)
-    coarse_pair, c_stats = smallest_eigenpair(A_c, M_c, rq_tol, warm=warm_state)
-
-    lam_f, _, f_stats = two_grid_fine_update(
-        problem, y, coarse_mesh, coarse_pair, mesh, level.s
-    )
-    lam_p, _, p_stats = two_grid_fine_update(
-        problem, y, coarse_mesh, coarse_pair, prev_mesh, prev_s
-    )
-    delta = lam_f - lam_p
-    work = (
-        _work(c_stats, _dofs(coarse_mesh))
-        + _work(f_stats, _dofs(mesh))
-        + _work(p_stats, _dofs(prev_mesh))
-        + level.coarse_s * coarse_mesh.n_elements
-        + level.s * mesh.n_elements
-        + prev_s * prev_mesh.n_elements
-    )
-    rec = SampleRecord(
-        delta=delta,
-        coarse_rq_iterations=c_stats.rq_iterations,
-        coarse_linear_solves=c_stats.linear_solves,
-        fine_linear_solves=f_stats.linear_solves + p_stats.linear_solves,
-        factorizations=c_stats.factorizations + f_stats.factorizations
-        + p_stats.factorizations,
-        work_units=work,
-        wall_time=time.perf_counter() - t0,
-    )
-    return delta, coarse_pair, rec
+    coarse_pair, stats = smallest_eigenpair(
+        *_assembled(problem, coarse_mesh, y, level.coarse_s), rq_tol, warm=warm_state)
+    _priced(stats, coarse_mesh, level.coarse_s)
+    lams = []
+    for fine_mesh, s in ((mesh, level.s), (prev_mesh, level.prev_s)):
+        lam, _, fine = two_grid_fine_update(problem, y, coarse_mesh, coarse_pair,
+                                            fine_mesh, s)
+        stats.add(_priced(fine, fine_mesh, s))
+        lams.append(lam)
+    return lams[0] - lams[1], coarse_pair, stats
 
 
-@dataclass
-class StreamResult:
-    """Outcome of one (level, shift) stream of sequential lattice points."""
-
-    estimate: float
-    n_points: int
-    coarse_rq_iterations: list = field(default_factory=list)
-    coarse_linear_solves: int = 0
-    fine_linear_solves: int = 0
-    factorizations: int = 0
-    work_units: float = 0.0
-    wall_time: float = 0.0
-
-
-def _run_stream(problem, level: LevelParams, z: GeneratingVector, shift: np.ndarray,
-                options: EstimatorOptions) -> StreamResult:
-    t0 = time.perf_counter()
-    res = StreamResult(estimate=0.0, n_points=level.n_points)
-    warm = None
-    total = 0.0
+def _lattice_points(z: GeneratingVector, level: LevelParams, shift: np.ndarray):
+    """The level's N lattice points under one random shift, in order."""
     for k in range(level.n_points):
-        t = lattice_point(z, level.n_points, k, dim=level.s)
-        y = shift_and_center(t, shift)
-        delta, warm_out, rec = sample_level_difference(
-            problem, level, y,
-            warm_state=warm if options.warm_start else None,
-            two_grid=options.two_grid,
+        yield shift_and_center(lattice_point(z, level.n_points, k, dim=level.s), shift)
+
+
+def _iid_points(seed: int, key: tuple, n: int, dim: int):
+    """n i.i.d. uniform points on [-1/2, 1/2)^dim from the seeded stream ``key``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    for _ in range(n):
+        yield rng.random(dim) - 0.5
+
+
+def _run_stream(problem, level: LevelParams, points, options: EstimatorOptions):
+    """Differences at the points of one stream, visited in order.
+
+    Returns the differences, the per-sample stats and the stream's
+    seconds.  With warm starts each sample starts from the previous
+    sample's coarse pair, so the order of the points matters.
+    """
+    t0 = time.perf_counter()
+    deltas, samples, warm = [], [], None
+    for y in points:
+        delta, pair, stats = sample_level_difference(
+            problem, level, y, warm_state=warm, two_grid=options.two_grid,
             rq_tol=options.rq_tol,
         )
         if options.warm_start:
-            warm = warm_out
-        total += delta
-        res.coarse_rq_iterations.append(rec.coarse_rq_iterations)
-        res.coarse_linear_solves += rec.coarse_linear_solves
-        res.fine_linear_solves += rec.fine_linear_solves
-        res.factorizations += rec.factorizations
-        res.work_units += rec.work_units
-    res.estimate = total / level.n_points
-    res.wall_time = time.perf_counter() - t0
-    return res
+            warm = pair
+        deltas.append(delta)
+        samples.append(stats)
+    return deltas, samples, time.perf_counter() - t0
 
 
 @dataclass
@@ -381,38 +323,90 @@ class MlqmcReport:
         return rows
 
 
-def _median(values) -> float:
-    return float(np.median(values)) if len(values) else 0.0
+def _sequential_mean(values) -> float:
+    # left to right, the order the reference estimates were recorded in
+    # (the builtin sum() compensates from Python 3.12 on)
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
-def _level_report(level: LevelParams, streams: list[StreamResult],
-                  n_shifts: int) -> LevelReport:
-    per_shift = [s.estimate for s in streams]
-    if n_shifts >= 2:
-        q_hat, variance = shift_average_and_variance(per_shift)
+def _level_report(level: LevelParams, streams: list, iid: bool) -> LevelReport:
+    """The report row of one level from its streams' differences and stats.
+
+    Lattice levels average the per-shift means and estimate the variance
+    from their spread; an i.i.d. level has one stream and uses the
+    sample variance of the mean.
+    """
+    if iid:
+        [(deltas, _, _)] = streams
+        values = np.asarray(deltas)
+        n = values.size
+        q_hat = float(values.mean())
+        per_shift = [q_hat]
+        variance = float(values.var(ddof=1) / n) if n > 1 else float("nan")
     else:
-        q_hat, variance = per_shift[0], float("nan")
-    iters = [it for s in streams for it in s.coarse_rq_iterations]
-    coarse = sum(s.coarse_linear_solves for s in streams)
-    fine = sum(s.fine_linear_solves for s in streams)
+        n = level.n_points
+        per_shift = [_sequential_mean(deltas) for deltas, _, _ in streams]
+        q_hat, variance = shift_average_and_variance(per_shift)
+    samples = [stats for _, per_sample, _ in streams for stats in per_sample]
+    total = SolveStats()
+    for stats in samples:
+        total.add(stats)
     return LevelReport(
         ell=level.ell,
         h=level.h,
         s=level.s,
         coarse_h=level.coarse_h,
         coarse_s=level.coarse_s,
-        n_points=level.n_points,
-        n_shifts=n_shifts,
+        n_points=n,
+        n_shifts=len(per_shift),
         per_shift=per_shift,
         q_hat=q_hat,
         variance=variance,
-        cost_seconds=sum(s.wall_time for s in streams),
-        linear_solves=coarse + fine,
-        coarse_linear_solves=coarse,
-        factorizations=sum(s.factorizations for s in streams),
-        rq_iterations_median=_median(iters),
-        work_units=sum(s.work_units for s in streams),
+        cost_seconds=sum(seconds for _, _, seconds in streams),
+        linear_solves=total.linear_solves,
+        coarse_linear_solves=total.linear_solves - total.fine_linear_solves,
+        factorizations=total.factorizations,
+        rq_iterations_median=float(np.median([st.rq_iterations for st in samples])),
+        work_units=total.work_units,
     )
+
+
+def _run_levels(problem, levels, streams_of, options: EstimatorOptions,
+                iid: bool = False, max_workers: int = 1) -> list[LevelReport]:
+    """Every stream of every level, reduced in fixed order to one row per level.
+
+    ``streams_of(level)`` gives the level's point streams: one per random
+    shift of a lattice rule, or a single i.i.d. stream.
+    """
+    jobs = [(lv, points) for lv in levels for points in streams_of(lv)]
+
+    def run(job):
+        return _run_stream(problem, *job, options)
+
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            results = list(pool.map(run, jobs))
+    else:
+        results = [run(j) for j in jobs]
+    by_level = {}
+    for (lv, _), res in zip(jobs, results):
+        by_level.setdefault(lv.ell, []).append(res)
+    return [_level_report(lv, by_level[lv.ell], iid) for lv in levels]
+
+
+def _lattice_levels(problem, levels, n_shifts: int, z: GeneratingVector, seed: int,
+                    options: EstimatorOptions, max_workers: int) -> list[LevelReport]:
+    if n_shifts < 2:
+        raise ValueError("need at least 2 random shifts for a variance estimate")
+    shift_set = ShiftSet(seed, n_shifts, shared=options.shared_shifts)
+
+    def streams_of(lv):
+        return [_lattice_points(z, lv, shift_set.shift(lv.ell, r, lv.s))
+                for r in range(n_shifts)]
+    return _run_levels(problem, levels, streams_of, options, max_workers=max_workers)
 
 
 def _finalize(kind: str, problem: CoefficientSeries, seed: int, n_shifts: int,
@@ -434,38 +428,18 @@ def _finalize(kind: str, problem: CoefficientSeries, seed: int, n_shifts: int,
     )
 
 
-def _run_levels(problem, levels, z, shift_set, options, max_workers=1):
-    """All (level, shift) streams, reduced in fixed order."""
-    jobs = [(lv, r) for lv in levels for r in range(shift_set.n_shifts)]
-
-    def run(job):
-        lv, r = job
-        shift = shift_set.shift(lv.ell, r, lv.s)
-        return _run_stream(problem, lv, z, shift, options)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    by_level = {}
-    for (lv, r), res in zip(jobs, results):
-        by_level.setdefault(lv.ell, []).append(res)
-    return {lv.ell: _level_report(lv, by_level[lv.ell], shift_set.n_shifts)
-            for lv in levels}
-
-
 def mlqmc_estimate(problem: CoefficientSeries, levels: list[LevelParams],
                    n_shifts: int, z: GeneratingVector, seed: int,
                    options: EstimatorOptions = EstimatorOptions(),
                    max_workers: int = 1) -> MlqmcReport:
     """Shift-averaged multilevel QMC estimate of E[lambda] over fixed levels."""
-    if n_shifts < 2:
-        raise ValueError("need at least 2 random shifts for a variance estimate")
-    shift_set = ShiftSet(seed, n_shifts, shared=options.shared_shifts)
-    reports = _run_levels(problem, levels, z, shift_set, options, max_workers)
-    ordered = [reports[lv.ell] for lv in levels]
-    return _finalize("mlqmc", problem, seed, n_shifts, options, ordered)
+    reports = _lattice_levels(problem, levels, n_shifts, z, seed, options, max_workers)
+    return _finalize("mlqmc", problem, seed, n_shifts, options, reports)
+
+
+def _single_level(mesh_exponent: int, s: int, n_points: int = 1) -> LevelParams:
+    return LevelParams(ell=0, mesh_exponent=mesh_exponent, s=s,
+                       coarse_exponent=mesh_exponent, coarse_s=s, n_points=n_points)
 
 
 def qmc_single_level(problem: CoefficientSeries, mesh_exponent: int, s: int,
@@ -473,15 +447,9 @@ def qmc_single_level(problem: CoefficientSeries, mesh_exponent: int, s: int,
                      options: EstimatorOptions = EstimatorOptions(),
                      max_workers: int = 1) -> MlqmcReport:
     """Single-level shift-averaged lattice estimator of E[lambda_{h,s}]."""
-    level = LevelParams(
-        ell=0, mesh_exponent=mesh_exponent, s=s,
-        coarse_exponent=mesh_exponent, coarse_s=s, n_points=n_points,
-    )
-    if n_shifts < 2:
-        raise ValueError("need at least 2 random shifts for a variance estimate")
-    shift_set = ShiftSet(seed, n_shifts, shared=options.shared_shifts)
-    reports = _run_levels(problem, [level], z, shift_set, options, max_workers)
-    return _finalize("qmc", problem, seed, n_shifts, options, [reports[0]])
+    level = _single_level(mesh_exponent, s, n_points)
+    reports = _lattice_levels(problem, [level], n_shifts, z, seed, options, max_workers)
+    return _finalize("qmc", problem, seed, n_shifts, options, reports)
 
 
 def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
@@ -489,46 +457,11 @@ def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
     """Plain Monte Carlo with i.i.d. uniform parameters and cold eigensolves."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(10001,)))
-    level = LevelParams(
-        ell=0, mesh_exponent=mesh_exponent, s=s,
-        coarse_exponent=mesh_exponent, coarse_s=s, n_points=1,
-    )
-    t0 = time.perf_counter()
-    values = np.empty(n_samples)
-    solves = 0
-    facts = 0
-    work = 0.0
-    mesh = build_uniform_mesh(mesh_exponent)
-    for i in range(n_samples):
-        y = rng.random(s) - 0.5
-        lam, stats = sample_eigenvalue_direct(problem, level, y, rq_tol)
-        values[i] = lam
-        solves += stats.linear_solves
-        facts += stats.factorizations
-        work += _work(stats, _dofs(mesh)) + s * mesh.n_elements
-    mean = float(values.mean())
-    var_of_mean = float(values.var(ddof=1) / n_samples) if n_samples > 1 else float("nan")
-    lv = LevelReport(
-        ell=0, h=level.h, s=s, coarse_h=level.h, coarse_s=s,
-        n_points=n_samples, n_shifts=1, per_shift=[mean],
-        q_hat=mean, variance=var_of_mean,
-        cost_seconds=time.perf_counter() - t0,
-        linear_solves=solves, coarse_linear_solves=solves,
-        factorizations=facts, rq_iterations_median=0.0, work_units=work,
-    )
-    return MlqmcReport(
-        kind="mc", problem=problem.name, seed=seed, n_shifts=1,
-        options=EstimatorOptions(two_grid=False, warm_start=False,
-                                 rq_tol=rq_tol).to_dict(),
-        levels=[lv], estimate=mean, total_variance=var_of_mean,
-        total_cost_seconds=lv.cost_seconds, total_linear_solves=solves,
-        total_work_units=work,
-    )
-
-
-def mc_standard_error(report: MlqmcReport) -> float:
-    return math.sqrt(report.total_variance)
+    options = EstimatorOptions(two_grid=False, warm_start=False, rq_tol=rq_tol)
+    reports = _run_levels(
+        problem, [_single_level(mesh_exponent, s)],
+        lambda lv: [_iid_points(seed, (10001,), n_samples, lv.s)], options, iid=True)
+    return _finalize("mc", problem, seed, 1, options, reports)
 
 
 def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
@@ -537,46 +470,20 @@ def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
     """Multilevel Monte Carlo with i.i.d. sampling and direct (cold) solves."""
     levels = default_levels(n_per_level, s=s, s_policy=s_policy, s0=s0)
     options = EstimatorOptions(two_grid=False, warm_start=False, rq_tol=rq_tol)
-    level_reports = []
-    for lv in levels:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(10002, lv.ell))
-        )
-        t0 = time.perf_counter()
-        deltas = np.empty(lv.n_points)
-        res = StreamResult(estimate=0.0, n_points=lv.n_points)
-        for i in range(lv.n_points):
-            y = rng.random(lv.s) - 0.5
-            delta, _, rec = sample_level_difference(
-                problem, lv, y, warm_state=None, two_grid=False, rq_tol=rq_tol
-            )
-            deltas[i] = delta
-            res.coarse_rq_iterations.append(rec.coarse_rq_iterations)
-            res.coarse_linear_solves += rec.coarse_linear_solves
-            res.factorizations += rec.factorizations
-            res.work_units += rec.work_units
-        n = lv.n_points
-        var_of_mean = float(deltas.var(ddof=1) / n) if n > 1 else float("nan")
-        level_reports.append(LevelReport(
-            ell=lv.ell, h=lv.h, s=lv.s, coarse_h=lv.coarse_h, coarse_s=lv.coarse_s,
-            n_points=n, n_shifts=1, per_shift=[float(deltas.mean())],
-            q_hat=float(deltas.mean()), variance=var_of_mean,
-            cost_seconds=time.perf_counter() - t0,
-            linear_solves=res.coarse_linear_solves,
-            coarse_linear_solves=res.coarse_linear_solves,
-            factorizations=res.factorizations,
-            rq_iterations_median=_median(res.coarse_rq_iterations),
-            work_units=res.work_units,
-        ))
-    return MlqmcReport(
-        kind="mlmc", problem=problem.name, seed=seed, n_shifts=1,
-        options=options.to_dict(), levels=level_reports,
-        estimate=float(sum(lv.q_hat for lv in level_reports)),
-        total_variance=float(sum(lv.variance for lv in level_reports)),
-        total_cost_seconds=float(sum(lv.cost_seconds for lv in level_reports)),
-        total_linear_solves=int(sum(lv.linear_solves for lv in level_reports)),
-        total_work_units=float(sum(lv.work_units for lv in level_reports)),
-    )
+    reports = _run_levels(
+        problem, levels,
+        lambda lv: [_iid_points(seed, (10002, lv.ell), lv.n_points, lv.s)],
+        options, iid=True)
+    return _finalize("mlmc", problem, seed, 1, options, reports)
+
+
+def largest_variance_per_work(levels: list[LevelReport]) -> int:
+    """Index of the level whose variance per unit of work is largest.
+
+    Doubling N there buys the most variance reduction per work; the
+    adaptive driver and the MLMC baseline of ``compare`` share this rule.
+    """
+    return int(np.argmax([lv.variance / lv.work_units for lv in levels]))
 
 
 def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
@@ -599,50 +506,37 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
         raise ValueError("tolerance must be positive")
     if n_shifts < 2:
         raise ValueError("need at least 2 random shifts")
-    shift_set = ShiftSet(seed, n_shifts, shared=options.shared_shifts)
     trajectory = []
-
-    def make_level(ell, n_points):
-        return level_params(ell, n_points, s=s, s_policy=s_policy,
-                            base_exponent=base_exponent, s0=s0)
-
-    def evaluate(ell, n_points):
-        lv = make_level(ell, n_points)
-        report = _run_levels(problem, [lv], z, shift_set, options, max_workers)[ell]
-        return lv, report
-
     state = {}
-    n_level = {0: n_initial, 1: n_initial}
+
+    def evaluate(action, ell, n_points):
+        lv = level_params(ell, n_points, s=s, s_policy=s_policy,
+                          base_exponent=base_exponent, s0=s0)
+        state[ell] = _lattice_levels(problem, [lv], n_shifts, z, seed, options,
+                                     max_workers)[0]
+        trajectory.append({"action": action, "level": ell, "N": n_points})
+
     for ell in (0, 1):
-        state[ell] = evaluate(ell, n_level[ell])
-        trajectory.append({"action": "add_level", "level": ell, "N": n_level[ell]})
+        evaluate("add_level", ell, n_initial)
 
     var_target = tolerance ** 2 / 2.0
     bias_target = tolerance / math.sqrt(2.0)
     bias_factor = 2.0 ** bias_alpha - 1.0
 
     while True:
-        while True:
-            total_var = sum(rep.variance for _, rep in state.values())
-            if total_var <= var_target:
-                break
-            scores = []
-            for ell in sorted(state):
-                lv, rep = state[ell]
-                unit_work = rep.work_units / (n_shifts * lv.n_points)
-                scores.append(rep.variance / (unit_work * lv.n_points))
-            star = sorted(state)[int(np.argmax(scores))]
-            new_n = 2 * n_level[star]
+        # a NaN variance never meets the target
+        while not sum(rep.variance for rep in state.values()) <= var_target:
+            ells = sorted(state)
+            star = ells[largest_variance_per_work([state[ell] for ell in ells])]
+            new_n = 2 * state[star].n_points
             if new_n > z.n_max:
                 raise RuntimeError(
                     f"level {star} needs more than the generating vector's "
                     f"maximum of {z.n_max} points"
                 )
-            n_level[star] = new_n
-            state[star] = evaluate(star, new_n)
-            trajectory.append({"action": "double", "level": star, "N": new_n})
+            evaluate("double", star, new_n)
         top = max(state)
-        bias_estimate = abs(state[top][1].q_hat) / bias_factor
+        bias_estimate = abs(state[top].q_hat) / bias_factor
         if bias_estimate <= bias_target:
             break
         if top >= max_level:
@@ -650,16 +544,12 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                 f"bias {bias_estimate:.3e} > {bias_target:.3e} at the level cap "
                 f"{max_level}"
             )
-        new_ell = top + 1
-        n_level[new_ell] = n_initial
-        state[new_ell] = evaluate(new_ell, n_initial)
-        trajectory.append({"action": "add_level", "level": new_ell, "N": n_initial})
+        evaluate("add_level", top + 1, n_initial)
 
-    ordered = [state[ell][1] for ell in sorted(state)]
-    report = _finalize("mlqmc", problem, seed, n_shifts, options, ordered,
-                       tolerance=tolerance, tolerance_achieved=True,
-                       trajectory=trajectory)
-    return report
+    return _finalize("mlqmc", problem, seed, n_shifts, options,
+                     [state[ell] for ell in sorted(state)],
+                     tolerance=tolerance, tolerance_achieved=True,
+                     trajectory=trajectory)
 
 
 def functional_of_eigenfunction(u, mesh: TriMesh, kind: str = "mean_value") -> float:

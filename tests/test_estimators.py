@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from mlqmc_eig import (
     mlmc_estimate,
     mlqmc_estimate,
     qmc_single_level,
-    sample_eigenvalue_direct,
     sample_level_difference,
     stiffness_interior,
     two_grid_eigenpair,
 )
+from mlqmc_eig.estimators import largest_variance_per_work
 from mlqmc_eig.mesh_fem import CoefficientBoundError
 
 
@@ -63,7 +64,7 @@ class TestLevelParams:
 class TestSampleOps:
     def test_direct_sample_deterministic_laplacian(self, prob1):
         lp = level_params(0, 16)
-        lam, _ = sample_eigenvalue_direct(prob1, lp, np.zeros(64))
+        lam, _, _ = sample_level_difference(prob1, lp, np.zeros(64))
         mesh = build_uniform_mesh(3)
         A = stiffness_interior(mesh, prob1, np.zeros(64))
         M = mass_interior(mesh, prob1)
@@ -74,8 +75,8 @@ class TestSampleOps:
     def test_direct_sample_bitwise_repeatable(self, prob1, rng):
         lp = level_params(0, 16)
         y = rng.random(64) - 0.5
-        lam1, _ = sample_eigenvalue_direct(prob1, lp, y)
-        lam2, _ = sample_eigenvalue_direct(prob1, lp, y)
+        lam1, _, _ = sample_level_difference(prob1, lp, y)
+        lam2, _, _ = sample_level_difference(prob1, lp, y)
         assert lam1 == lam2
 
     def test_level0_difference_is_value(self, prob1, rng):
@@ -190,7 +191,7 @@ class TestBaselines:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=21, spawn_key=(10001,)))
         y = rng.random(64) - 0.5
-        lam, _ = sample_eigenvalue_direct(prob1, level_params(0, 16), y)
+        lam, _, _ = sample_level_difference(prob1, level_params(0, 16), y)
         assert rep.estimate == lam
 
     def test_mc_standard_error_oracle(self, prob1):
@@ -200,7 +201,7 @@ class TestBaselines:
         vals = []
         for _ in range(32):
             y = rng.random(64) - 0.5
-            lam, _ = sample_eigenvalue_direct(prob1, level_params(0, 16), y)
+            lam, _, _ = sample_level_difference(prob1, level_params(0, 16), y)
             vals.append(lam)
         vals = np.array(vals)
         oracle = vals.var(ddof=1) / 32
@@ -212,6 +213,23 @@ class TestBaselines:
         qmc = qmc_single_level(prob1, 3, 64, 64, 8, zvec, seed=23)
         spread = 3 * math.sqrt(mc.total_variance + qmc.total_variance)
         assert abs(mc.estimate - qmc.estimate) <= spread
+
+    def test_mc_reports_measured_rq_iterations(self, prob1):
+        rep = mc_estimate(prob1, 3, 64, 8, seed=0)
+        assert rep.levels[0].rq_iterations_median == 2.0
+
+    def test_iid_paths_bitwise(self, prob1):
+        # recorded before MC and MLMC were routed through the shared
+        # stream runner; the i.i.d. draws, the cold solves and the
+        # np.mean / var(ddof=1) reduction must all stay as they were
+        mc = mc_estimate(prob1, 3, 64, 8, seed=0)
+        assert mc.estimate == 20.32723920564289
+        assert mc.total_variance == 0.0043104761341572154
+        assert mc.total_linear_solves == 64
+        mlmc = mlmc_estimate(prob1, [8, 4, 2], seed=0)
+        assert mlmc.estimate == 19.48841115262006
+        assert mlmc.total_variance == 0.0035166578217461345
+        assert mlmc.total_linear_solves == 160
 
     def test_mlmc_telescopes(self, prob1, zvec):
         ml = mlmc_estimate(prob1, [128, 32], seed=24)
@@ -236,6 +254,12 @@ class TestAdaptive:
     def test_trajectory_recorded(self, prob1, zvec):
         rep = adaptive_mlqmc(prob1, 0.625, 8, zvec, seed=0)
         assert rep.trajectory[0] == {"action": "add_level", "level": 0, "N": 16}
+
+    def test_doubling_rule(self):
+        rows = [SimpleNamespace(variance=v, work_units=w)
+                for v, w in [(4.0, 2.0), (3.0, 1.0), (1.0, 1.0), (6.0, 2.0)]]
+        # variance per work 2, 3, 1, 3: the tie goes to the lower level
+        assert largest_variance_per_work(rows) == 1
 
     def test_rejects_bad_inputs(self, prob1, zvec):
         with pytest.raises(ValueError):
