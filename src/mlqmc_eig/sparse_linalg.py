@@ -2,23 +2,149 @@
 
 The two-grid update solves (A - sigma*M) x = b with sigma between the
 two smallest eigenvalues, so the operator is symmetric indefinite with
-one negative eigenvalue.  A sparse LU with partial pivoting (SuperLU,
-COLAMD ordering) handles that robustly at desk scale; near-singular
-factorizations are detected from the pivot magnitudes so callers can
-nudge the shift.
+one negative eigenvalue.  A sparse LU with partial pivoting (SuperLU)
+handles that robustly at desk scale; near-singular factorizations are
+detected from the pivot magnitudes so callers can nudge the shift.
+
+Every shifted operator on one mesh has the same sparsity pattern: the
+interior stiffness and mass matrices share one CSR pattern.  The
+fill-reducing ordering is therefore built once per pattern, on its first
+factorization, and kept with the gather that takes values on the CSR
+pattern to the permuted CSC pattern.  For a pair on the k x k interior
+grid the ordering is a geometric nested dissection (George 1973); for
+any other pair it is the identity.  Each factorization is then one
+subtraction of value arrays, one gather and one SuperLU call that keeps
+the given column order (``permc_spec="NATURAL"``).
 """
 
 from __future__ import annotations
+
+import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 _PIVOT_RTOL = 1e-14
+_ND_LEAF_CELLS = 4
+_ORDERINGS_KEPT = 16
 
 
 class SingularShiftError(RuntimeError):
     """(A - sigma*M) is singular to working tolerance at this shift."""
+
+
+def nested_dissection(k: int) -> np.ndarray:
+    """Nested-dissection elimination order of the k x k grid.
+
+    Cell (r, c) has index ``r*k + c``; entry i of the result is the index
+    eliminated i-th.  A block of at most four cells is a leaf, taken in
+    row-major order.  A larger block is cut along the middle line of its
+    longer side (a column on a tie); its two halves come first, each
+    ordered the same way, and the separator line last.
+    """
+    blocks = {}
+
+    def block(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        # (row, col) within an h x w block, in elimination order; the
+        # order depends only on the block's shape
+        if (h, w) not in blocks:
+            if h * w <= _ND_LEAF_CELLS:
+                rows, cols = np.divmod(np.arange(h * w), w)
+            elif w >= h:
+                mid = w // 2
+                r1, c1 = block(h, mid)
+                r2, c2 = block(h, w - mid - 1)
+                rows = np.concatenate([r1, r2, np.arange(h)])
+                cols = np.concatenate([c1, c2 + mid + 1, np.full(h, mid)])
+            else:
+                mid = h // 2
+                r1, c1 = block(mid, w)
+                r2, c2 = block(h - mid - 1, w)
+                rows = np.concatenate([r1, r2 + mid + 1, np.full(w, mid)])
+                cols = np.concatenate([c1, c2, np.arange(w)])
+            blocks[(h, w)] = rows, cols
+        return blocks[(h, w)]
+
+    rows, cols = block(k, k)
+    return rows * k + cols
+
+
+class _Ordering:
+    """Symmetric permutation of one CSR pattern and its permuted CSC form.
+
+    ``perm[i]`` is the original index of unknown i.  Values ``v`` on the
+    CSR pattern become the CSC matrix P S P^T as ``v[gather]`` on
+    (``indices``, ``indptr``).
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, perm: np.ndarray):
+        n = indptr.size - 1
+        rank = np.empty(n, dtype=np.intp)
+        rank[perm] = np.arange(n)
+        rows = rank[np.repeat(np.arange(n), np.diff(indptr))]
+        cols = rank[indices]
+        self.perm = perm
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather].astype(np.int32)
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(np.int32)
+        # the cache is keyed by the memory of the source pattern: hold it
+        self.source = (indptr, indices)
+
+
+_orderings: OrderedDict[tuple, _Ordering] = OrderedDict()
+_orderings_lock = threading.Lock()
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and (_address(a) == _address(b) or np.array_equal(a, b))
+
+
+def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
+    """Ordering of a canonical CSR pattern shared by A and M, built once.
+
+    Patterns are recognised by the memory of their index arrays, so the
+    matrices of one mesh, which share the mesh's pattern arrays, find
+    the ordering its first factorization built.
+    """
+    key = (indptr.size, indices.size, _address(indptr), _address(indices))
+    with _orderings_lock:
+        ordering = _orderings.get(key)
+        if ordering is not None:
+            _orderings.move_to_end(key)
+            return ordering
+        n = indptr.size - 1
+        k = math.isqrt(n)
+        perm = nested_dissection(k) if k * k == n else np.arange(n)
+        ordering = _orderings[key] = _Ordering(indptr, indices, perm)
+        if len(_orderings) > _ORDERINGS_KEPT:
+            _orderings.popitem(last=False)
+        return ordering
+
+
+def _on_one_pattern(A: sp.spmatrix, M: sp.spmatrix):
+    """(ordering, a, m): values of A and M on one CSR pattern and its ordering.
+
+    A pair on a shared canonical pattern uses it as is.  Any other pair
+    is taken to the union of its patterns, in the identity order.
+    """
+    A, M = A.tocsr(), M.tocsr()
+    if (A.has_canonical_format and M.has_canonical_format
+            and _same_array(A.indptr, M.indptr) and _same_array(A.indices, M.indices)):
+        return _cached_ordering(A.indptr, A.indices), A.data, M.data
+    union = (abs(A) + abs(M)).tocsr()
+    union.sum_duplicates()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(union.indptr))
+    a = np.asarray(A[rows, union.indices], dtype=float).ravel()
+    m = np.asarray(M[rows, union.indices], dtype=float).ravel()
+    return _Ordering(union.indptr, union.indices, np.arange(A.shape[0])), a, m
 
 
 class FactorizedOperator:
@@ -29,9 +155,13 @@ class FactorizedOperator:
             raise ValueError("A and M must be square matrices of equal size")
         self.sigma = float(sigma)
         self.n = A.shape[0]
-        shifted = (A - self.sigma * M).tocsc()
+        self.ordering, a, m = _on_one_pattern(A, M)
+        shifted = sp.csc_matrix(
+            ((a - self.sigma * m)[self.ordering.gather],
+             self.ordering.indices, self.ordering.indptr),
+            shape=A.shape)
         try:
-            self._lu = splu(shifted)
+            self._lu = splu(shifted, permc_spec="NATURAL")
         except RuntimeError as exc:   # exactly singular pivot
             raise SingularShiftError(
                 f"factorization at shift {sigma:.17g} is singular: {exc}"
@@ -45,11 +175,19 @@ class FactorizedOperator:
                 f"(pivot ratio {self.singularity:.3e})"
             )
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries of L + U, the fill of this factorization."""
+        return self._lu.nnz
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"right-hand side must have length {self.n}")
-        return self._lu.solve(b)
+        perm = self.ordering.perm
+        x = np.empty(self.n)
+        x[perm] = self._lu.solve(b[perm])
+        return x
 
 
 def factorize_shifted(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> FactorizedOperator:
