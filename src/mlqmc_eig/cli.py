@@ -118,8 +118,7 @@ class ExperimentConfig:
         if tolerances:
             if any(t <= 0 for t in tolerances):
                 raise ConfigError("tolerances must be positive")
-            if any(b >= a for a, b in zip(tolerances, tolerances[1:])) and \
-               sorted(tolerances, reverse=True) != tolerances:
+            if any(b >= a for a, b in zip(tolerances, tolerances[1:])):
                 raise ConfigError("tolerances must be decreasing")
 
         level_points = [int(n) for n in raw.get("levels", [])]
@@ -194,13 +193,18 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _run_one(config: ExperimentConfig, problem, z, tolerance=None) -> MlqmcReport:
-    """The configured estimator's report; adaptive MLQMC when given a tolerance."""
+def _run_one(config: ExperimentConfig, problem, z, tolerance=None,
+             evaluated=None) -> MlqmcReport:
+    """The configured estimator's report; adaptive MLQMC when given a tolerance.
+
+    ``evaluated`` is the level reports of the sweep so far, shared by its
+    adaptive runs (see ``adaptive_mlqmc``).
+    """
     if tolerance is not None:
         return adaptive_mlqmc(problem, tolerance, config.n_shifts, z, config.seed,
                               options=config.options, s=config.s,
                               s_policy=config.s_policy, max_level=config.max_level,
-                              max_workers=config.threads)
+                              max_workers=config.threads, evaluated=evaluated)
     if config.estimator == "mc":
         return mc_estimate(problem, config.mesh_exponent, config.s,
                            config.n_points, config.seed, rq_tol=config.rq_tol)
@@ -235,8 +239,12 @@ def _cost_row(report: MlqmcReport, epsilon) -> list:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Run the configured estimator(s); artifacts land in the output directory.
 
-    Returns a process exit status: 0 when every requested tolerance was
-    achieved, 1 otherwise.
+    The adaptive runs of a tolerance sweep share their level reports, so
+    each level is estimated once.  Returns a process exit status: 0 when
+    every requested tolerance was achieved, 1 when a later tolerance hit
+    the level cap; the artifacts then hold the tolerances achieved
+    before it.  When the first tolerance hits the level cap nothing is
+    written and ``MaxLevelExceededError`` propagates.
     """
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
@@ -248,10 +256,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     cost_rows = [list(COST_CSV_COLUMNS)]
     achieved = True
     adaptive = config.estimator == "mlqmc" and config.tolerances
+    evaluated = {}
     for eps in config.tolerances if adaptive else [None]:
         try:
-            rep = _run_one(config, problem, z, eps)
+            rep = _run_one(config, problem, z, eps, evaluated)
         except MaxLevelExceededError:
+            if not reports:
+                raise
             achieved = False
             break
         reports.append((eps, rep))
@@ -353,8 +364,9 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
 
     cost_rows = [list(COST_CSV_COLUMNS)]
     status = 0
+    evaluated = {}
     for eps in tolerances:
-        base = _run_one(config, problem, z, eps)
+        base = _run_one(config, problem, z, eps, evaluated)
         finest = max(lv.ell for lv in base.levels)
         var_target = eps ** 2 / 2.0
         for kind in kinds:

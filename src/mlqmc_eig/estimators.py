@@ -492,7 +492,8 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                    s: int = 64, s_policy: str = "fixed", s0: int = 4,
                    base_exponent: int = 3, max_level: int = 6,
                    n_initial: int = 16, bias_alpha: float = 2.0,
-                   max_workers: int = 1) -> MlqmcReport:
+                   max_workers: int = 1,
+                   evaluated: dict | None = None) -> MlqmcReport:
     """Tolerance-driven multilevel QMC estimate of E[lambda].
 
     Starting from two levels with 16 points each, the driver doubles
@@ -501,19 +502,41 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
     the bias estimate |Q_L| / (2^alpha - 1) exceeds eps/sqrt(2).  The
     doubling decision uses the deterministic per-sample work counters,
     so identical inputs reproduce identical trajectories.
+
+    ``evaluated`` maps ``(LevelParams, n_shifts, seed, options)`` to the
+    level's report.  A level found there is not computed again, and each
+    level computed is stored there, so calls that share one dict (the
+    tolerances of one sweep) estimate every level once.  A level's
+    report depends only on that key, the problem and the generating
+    vector, so every call sharing a dict must pass the same ``problem``
+    and ``z``; then each call returns exactly what it would return
+    alone, except for timing: ``cost_seconds`` and
+    ``total_cost_seconds`` are the seconds spent on the levels behind
+    the estimate, timed when each level was first computed.
+
+    Raises ``MaxLevelExceededError`` when the bias test still fails at
+    ``max_level``; the levels computed until then stay in ``evaluated``.
+    ``mlqmc-eig run`` then writes nothing if this was the first
+    tolerance of its sweep, and the tolerances achieved before it
+    otherwise.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     if n_shifts < 2:
         raise ValueError("need at least 2 random shifts")
+    if evaluated is None:
+        evaluated = {}
     trajectory = []
     state = {}
 
     def evaluate(action, ell, n_points):
         lv = level_params(ell, n_points, s=s, s_policy=s_policy,
                           base_exponent=base_exponent, s0=s0)
-        state[ell] = _lattice_levels(problem, [lv], n_shifts, z, seed, options,
-                                     max_workers)[0]
+        key = (lv, n_shifts, seed, options)
+        if key not in evaluated:
+            evaluated[key] = _lattice_levels(problem, [lv], n_shifts, z, seed,
+                                             options, max_workers)[0]
+        state[ell] = evaluated[key]
         trajectory.append({"action": action, "level": ell, "N": n_points})
 
     for ell in (0, 1):

@@ -184,8 +184,9 @@ def test_criterion_7_adaptive_cost_slope():
     """
     eps_list = [0.04, 0.02, 0.01, 0.005]
     solves, work = [], []
+    evaluated = {}      # one sweep: each level is estimated once
     for eps in eps_list:
-        rep = adaptive_mlqmc(P1, eps, 8, Z, seed=0)
+        rep = adaptive_mlqmc(P1, eps, 8, Z, seed=0, evaluated=evaluated)
         assert rep.total_variance <= eps ** 2 / 2
         solves.append(rep.total_linear_solves)
         work.append(rep.total_work_units)

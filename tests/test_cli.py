@@ -54,9 +54,10 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
     def test_tolerances_must_decrease(self, tmp_path):
-        path = write_config(tmp_path, tolerances=[0.01, 0.02])
-        with pytest.raises(ConfigError, match="decreasing"):
-            ExperimentConfig.from_file(path)
+        for tolerances in ([0.01, 0.02], [0.02, 0.02]):
+            path = write_config(tmp_path, tolerances=tolerances)
+            with pytest.raises(ConfigError, match="decreasing"):
+                ExperimentConfig.from_file(path)
 
     def test_r_floor_for_qmc(self, tmp_path):
         path = write_config(tmp_path, R=1)
@@ -103,6 +104,40 @@ class TestRun:
         assert status == 2
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    def test_sweep_matches_independent_runs_modulo_timing(self, tmp_path):
+        tolerances = [0.2, 0.1]
+
+        def untimed_reports(out, tols):
+            config = ExperimentConfig.from_file(
+                write_config(tmp_path, tolerances=tols, R=4))
+            assert run_experiment(config, out) == 0
+            payload = json.loads((out / "report.json").read_text())
+            for entry in payload:
+                del entry["report"]["total_cost_seconds"]
+                for lv in entry["report"]["levels"]:
+                    del lv["cost_seconds"]
+            return payload
+
+        sweep = untimed_reports(tmp_path / "sweep", tolerances)
+        alone = [entry for i, eps in enumerate(tolerances)
+                 for entry in untimed_reports(tmp_path / f"alone{i}", [eps])]
+        assert sweep == alone
+
+    def test_first_tolerance_at_level_cap_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, tolerances=[0.05], R=4, max_level=1)
+        out = tmp_path / "capped"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
+        assert "error" in capsys.readouterr().err
+
+    def test_later_tolerance_at_level_cap_keeps_achieved(self, tmp_path):
+        path = write_config(tmp_path, tolerances=[0.625, 0.05], R=4, max_level=1)
+        out = tmp_path / "capped"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        payload = json.loads((out / "report.json").read_text())
+        assert [entry["tolerance"] for entry in payload] == [0.625]
+        assert len((out / "cost_vs_tolerance.csv").read_text().splitlines()) == 2
 
     def test_mc_estimator_run(self, tmp_path):
         path = write_config(tmp_path, estimator="mc", N=8, mesh_exponent=3)

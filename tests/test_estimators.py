@@ -24,6 +24,7 @@ from mlqmc_eig import (
     stiffness_interior,
     two_grid_eigenpair,
 )
+from mlqmc_eig import estimators
 from mlqmc_eig.estimators import largest_variance_per_work
 from mlqmc_eig.mesh_fem import CoefficientBoundError
 
@@ -269,6 +270,35 @@ class TestAdaptive:
             adaptive_mlqmc(prob1, -1.0, 8, zvec, seed=0)
         with pytest.raises(ValueError):
             adaptive_mlqmc(prob1, 0.5, 1, zvec, seed=0)
+
+    def test_shared_levels_match_independent_runs(self, prob1, zvec, monkeypatch):
+        # n_initial=1 makes the driver double level 0 at eps = 0.1, so the
+        # sweep revisits both added and doubled levels
+        tolerances = [0.2, 0.1, 0.05]
+
+        def run(eps, **kwargs):
+            rep = adaptive_mlqmc(prob1, eps, 4, zvec, seed=0, n_initial=1, **kwargs)
+            d = rep.to_dict()
+            del d["total_cost_seconds"]
+            for lv in d["levels"]:
+                del lv["cost_seconds"]
+            return d
+
+        alone = [run(eps) for eps in tolerances]
+        computed = []
+        lattice_levels = estimators._lattice_levels
+
+        def counted(problem, levels, *args):
+            computed.extend(levels)
+            return lattice_levels(problem, levels, *args)
+
+        monkeypatch.setattr(estimators, "_lattice_levels", counted)
+        evaluated = {}
+        shared = [run(eps, evaluated=evaluated) for eps in tolerances]
+        assert shared == alone
+        assert any(t["action"] == "double" for d in alone for t in d["trajectory"])
+        assert len(computed) == len(set(computed)) == len(evaluated)
+        assert len(computed) < sum(len(d["trajectory"]) for d in alone)
 
 
 class TestFunctional:
