@@ -12,23 +12,17 @@ estimators layer telescopes levels and averages over random shifts.
 
 from .problems import (
     CoefficientSeries,
-    ParamVector,
-    eval_coeffs,
     make_problem,
     problem1,
     problem2,
-    truncate,
     zeta,
 )
 from .mesh_fem import (
     CoefficientBoundError,
     TriMesh,
-    assemble_mass,
-    assemble_stiffness,
     build_uniform_mesh,
     mass_interior,
     prolongate,
-    restrict_interior,
     stiffness_interior,
 )
 from .sparse_linalg import (
@@ -66,7 +60,6 @@ from .estimators import (
     MlqmcReport,
     adaptive_mlqmc,
     default_levels,
-    functional_of_eigenfunction,
     level_params,
     mc_estimate,
     mlmc_estimate,

@@ -53,9 +53,9 @@ _ALLOWED_TOP = {
     "s_policy", "options", "out_dir", "generating_vector", "rq_tol",
     "mesh_exponent", "N", "threads", "study", "estimators", "max_level",
 }
-_ALLOWED_PROBLEM = {"name", "p_tilde", "p_a", "p_a_out", "p_b", "p_b_out"}
 _ALLOWED_OPTIONS = {"two_grid", "warm_start", "shared_shifts"}
 _ALLOWED_STUDY = {"mode", "exponents", "coarse_exponent", "coarse_s"}
+_ESTIMATORS = ("mlqmc", "mlmc", "qmc", "mc")
 
 
 class ConfigError(ValueError):
@@ -78,7 +78,6 @@ class ExperimentConfig:
     options: EstimatorOptions = EstimatorOptions()
     out_dir: str = "results"
     generating_vector: str | None = None
-    rq_tol: float = 5e-8
     mesh_exponent: int = 3
     n_points: int = 256
     threads: int = 1
@@ -98,10 +97,12 @@ class ExperimentConfig:
         prob = raw["problem"]
         if not isinstance(prob, dict) or "name" not in prob:
             raise ConfigError("'problem' must be an object with a 'name'")
-        unknown = set(prob) - _ALLOWED_PROBLEM
-        if unknown:
-            raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
         params = {k: v for k, v in prob.items() if k != "name"}
+        # the problem factory's signature is the check of the problem keys
+        try:
+            make_problem(prob["name"], **params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"problem: {exc}") from None
 
         opts_raw = raw.get("options", {})
         unknown = set(opts_raw) - _ALLOWED_OPTIONS
@@ -123,8 +124,15 @@ class ExperimentConfig:
 
         level_points = [int(n) for n in raw.get("levels", [])]
         estimator = raw.get("estimator", "mlqmc")
-        if estimator not in ("mc", "qmc", "mlmc", "mlqmc"):
+        if estimator not in _ESTIMATORS:
             raise ConfigError(f"unknown estimator {estimator!r}")
+        estimators = list(raw.get("estimators", []))
+        unknown = [kind for kind in estimators if kind not in _ESTIMATORS]
+        if unknown:
+            raise ConfigError(f"unknown estimators: {unknown}")
+        s_policy = str(raw.get("s_policy", "fixed"))
+        if s_policy not in ("fixed", "geometric"):
+            raise ConfigError(f"unknown s_policy {s_policy!r}")
         n_shifts = int(raw.get("R", 8))
         if estimator in ("qmc", "mlqmc") and n_shifts < 2:
             raise ConfigError("QMC estimators need R >= 2")
@@ -143,17 +151,16 @@ class ExperimentConfig:
             n_shifts=n_shifts,
             seed=int(raw.get("seed", 0)),
             s=int(raw.get("s", 64)),
-            s_policy=str(raw.get("s_policy", "fixed")),
+            s_policy=s_policy,
             options=options,
             out_dir=str(raw.get("out_dir", "results")),
             generating_vector=raw.get("generating_vector"),
-            rq_tol=float(raw.get("rq_tol", 5e-8)),
             mesh_exponent=int(raw.get("mesh_exponent", 3)),
             n_points=int(raw.get("N", 256)),
             threads=int(raw.get("threads", 1)),
             max_level=int(raw.get("max_level", 6)),
             study=dict(study),
-            estimators=list(raw.get("estimators", [])),
+            estimators=estimators,
         )
 
     @classmethod
@@ -207,7 +214,7 @@ def _run_one(config: ExperimentConfig, problem, z, tolerance=None,
                               max_workers=config.threads, evaluated=evaluated)
     if config.estimator == "mc":
         return mc_estimate(problem, config.mesh_exponent, config.s,
-                           config.n_points, config.seed, rq_tol=config.rq_tol)
+                           config.n_points, config.seed, rq_tol=config.options.rq_tol)
     if config.estimator == "qmc":
         return qmc_single_level(problem, config.mesh_exponent, config.s,
                                 config.n_points, config.n_shifts, z, config.seed,
@@ -217,7 +224,7 @@ def _run_one(config: ExperimentConfig, problem, z, tolerance=None,
             raise ConfigError("mlmc needs a 'levels' list of sample counts")
         return mlmc_estimate(problem, config.level_points, config.seed,
                              s=config.s, s_policy=config.s_policy,
-                             rq_tol=config.rq_tol)
+                             rq_tol=config.options.rq_tol)
     if not config.level_points:
         raise ConfigError("mlqmc needs 'tolerances' or a 'levels' list of N values")
     levels = default_levels(config.level_points, s=config.s, s_policy=config.s_policy)
@@ -236,15 +243,32 @@ def _cost_row(report: MlqmcReport, epsilon) -> list:
     ]
 
 
+def _sweep(config: ExperimentConfig, problem, z) -> tuple[list, bool]:
+    """(eps, report) of the adaptive run at each tolerance, and whether all were met.
+
+    The runs share their level reports, so each level is estimated once.
+    The sweep stops at the first tolerance that hits the level cap; if
+    that is the first tolerance, ``MaxLevelExceededError`` propagates.
+    """
+    reports, evaluated = [], {}
+    for eps in config.tolerances:
+        try:
+            reports.append((eps, _run_one(config, problem, z, eps, evaluated)))
+        except MaxLevelExceededError:
+            if not reports:
+                raise
+            return reports, False
+    return reports, True
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Run the configured estimator(s); artifacts land in the output directory.
 
-    The adaptive runs of a tolerance sweep share their level reports, so
-    each level is estimated once.  Returns a process exit status: 0 when
-    every requested tolerance was achieved, 1 when a later tolerance hit
-    the level cap; the artifacts then hold the tolerances achieved
-    before it.  When the first tolerance hits the level cap nothing is
-    written and ``MaxLevelExceededError`` propagates.
+    Returns a process exit status: 0 when every requested tolerance was
+    achieved, 1 when a later tolerance hit the level cap; the artifacts
+    then hold the tolerances achieved before it.  When the first
+    tolerance hits the level cap nothing is written and
+    ``MaxLevelExceededError`` propagates (see ``_sweep``).
     """
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
@@ -252,21 +276,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     if config.estimator in ("qmc", "mlqmc"):
         z = config.vector()
 
-    reports = []
-    cost_rows = [list(COST_CSV_COLUMNS)]
-    achieved = True
-    adaptive = config.estimator == "mlqmc" and config.tolerances
-    evaluated = {}
-    for eps in config.tolerances if adaptive else [None]:
-        try:
-            rep = _run_one(config, problem, z, eps, evaluated)
-        except MaxLevelExceededError:
-            if not reports:
-                raise
-            achieved = False
-            break
-        reports.append((eps, rep))
-        cost_rows.append(_cost_row(rep, eps))
+    if config.estimator == "mlqmc" and config.tolerances:
+        reports, achieved = _sweep(config, problem, z)
+    else:
+        reports, achieved = [(None, _run_one(config, problem, z))], True
+    cost_rows = [list(COST_CSV_COLUMNS)] + [_cost_row(rep, eps) for eps, rep in reports]
 
     level_rows = None
     for _, rep in reports:
@@ -306,7 +320,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
             mesh = build_uniform_mesh(m)
             A = stiffness_interior(mesh, problem, y[:config.s])
             M = mass_interior(mesh, problem)
-            pair, _ = smallest_eigenpair_cold(A, M, config.rq_tol)
+            pair, _ = smallest_eigenpair_cold(A, M, config.options.rq_tol)
             lams.append(pair.lam)
     else:
         coarse_m = int(config.study.get("coarse_exponent", 3))
@@ -315,13 +329,13 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
         for m in exponents:
             lam, _, _, _ = two_grid_eigenpair(
                 problem, y, (coarse, coarse_s), (build_uniform_mesh(m), config.s),
-                tol=config.rq_tol,
+                tol=config.options.rq_tol,
             )
             lams.append(lam)
 
-    # reference: analytic 2 pi^2 a0 for the constant-coefficient case,
-    # Richardson extrapolation at rate 2 otherwise
-    if config.problem_name == "problem1" and not np.any(y):
+    # reference: analytic 2 pi^2 a0 for problem 1, whose coefficient at
+    # y = 0 is the constant a0; Richardson extrapolation at rate 2 otherwise
+    if config.problem_name == "problem1":
         a0 = 1.0 if config.problem_params.get("p_tilde", 2.0) >= 2.0 \
             else math.pi / math.sqrt(2.0)
         reference = 2.0 * math.pi ** 2 * a0
@@ -352,21 +366,22 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
     The adaptive MLQMC run fixes the bias level h_L per tolerance; the
     single-level and MLMC baselines are then matched to that meshwidth
     and their sample counts grown until the variance target eps^2/2 is
-    met.  Emits one cost CSV row per (estimator, tolerance).
+    met.  Emits one cost CSV row per (estimator, tolerance).  Returns 1
+    when a baseline misses its target or a later tolerance hits the
+    level cap, whose rows are then left out; the first tolerance at the
+    cap writes nothing, as in ``run_experiment``.
     """
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
     z = config.vector()
-    kinds = config.estimators or ["mlqmc", "mlmc", "qmc", "mc"]
-    tolerances = config.tolerances
-    if not tolerances:
+    kinds = config.estimators or list(_ESTIMATORS)
+    if not config.tolerances:
         raise ConfigError("compare needs a 'tolerances' list")
 
     cost_rows = [list(COST_CSV_COLUMNS)]
-    status = 0
-    evaluated = {}
-    for eps in tolerances:
-        base = _run_one(config, problem, z, eps, evaluated)
+    reports, achieved = _sweep(config, problem, z)
+    status = 0 if achieved else 1
+    for eps, base in reports:
         finest = max(lv.ell for lv in base.levels)
         var_target = eps ** 2 / 2.0
         for kind in kinds:
@@ -381,13 +396,11 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
                         config.seed, options=config.options,
                         max_workers=config.threads),
                     var_target, z.n_max)
-            elif kind == "mc":
+            else:
                 rep = _grow_single(
                     lambda n: mc_estimate(problem, 3 + finest, config.s, n,
-                                          config.seed, rq_tol=config.rq_tol),
+                                          config.seed, rq_tol=config.options.rq_tol),
                     var_target, 1 << 22)
-            else:
-                raise ConfigError(f"unknown estimator kind {kind!r} in compare")
             if rep is None:
                 status = 1
                 continue
@@ -412,7 +425,7 @@ def _grow_mlmc(problem, config, eps, finest):
     counts = [16] * (finest + 1)
     while True:
         rep = mlmc_estimate(problem, counts, config.seed, s=config.s,
-                            s_policy=config.s_policy, rq_tol=config.rq_tol)
+                            s_policy=config.s_policy, rq_tol=config.options.rq_tol)
         if rep.total_variance <= var_target:
             return rep
         counts[largest_variance_per_work(rep.levels)] *= 2

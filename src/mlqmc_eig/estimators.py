@@ -31,13 +31,7 @@ from .eigensolver import (
     smallest_eigenpair_cold,
     two_grid_fine_update,
 )
-from .mesh_fem import (
-    TriMesh,
-    basis_integrals,
-    build_uniform_mesh,
-    mass_interior,
-    stiffness_interior,
-)
+from .mesh_fem import TriMesh, build_uniform_mesh, mass_interior, stiffness_interior
 from .problems import CoefficientSeries
 from .qmc import (
     GeneratingVector,
@@ -181,7 +175,7 @@ def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
     stream.  Without two-grid both levels are solved cold.  The stats
     count the whole sample; ``rq_iterations`` are the coarse ones.
     """
-    y = np.asarray(getattr(y, "values", y), dtype=float)
+    y = np.asarray(y, dtype=float)
     mesh = build_uniform_mesh(level.mesh_exponent)
 
     if level.ell == 0:
@@ -573,24 +567,3 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                      [state[ell] for ell in sorted(state)],
                      tolerance=tolerance, tolerance_achieved=True,
                      trajectory=trajectory)
-
-
-def functional_of_eigenfunction(u, mesh: TriMesh, kind: str = "mean_value") -> float:
-    """Linear functional of the eigenfunction; currently the mean value.
-
-    G(u) = integral of u over the domain, computed by weighting the
-    nodal values with the unit-density mass matrix (exact for P1).
-    Accepts an Eigenpair, an interior-DOF vector, or a full nodal vector.
-    """
-    if kind != "mean_value":
-        raise ValueError(f"unknown functional kind {kind!r}")
-    if isinstance(u, Eigenpair):
-        u = u.u
-    u = np.asarray(u, dtype=float)
-    if u.shape == (mesh.n_interior,):
-        full = mesh.embed(u)
-    elif u.shape == (mesh.n_nodes,):
-        full = u
-    else:
-        raise ValueError("vector length matches neither interior DOFs nor nodes")
-    return float(basis_integrals(mesh) @ full)

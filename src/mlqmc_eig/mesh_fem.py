@@ -4,10 +4,17 @@ Each mesh halves the unit square into ``n = 2^m`` intervals per side and
 splits every cell along the bottom-left to top-right diagonal, so meshes
 are nested and island boundaries at multiples of 1/8 stay mesh-aligned.
 Element integrals use the 3-point edge-midpoint rule (exact for
-quadratic integrands), and the stiffness matrix for a parameter ``y``
-is assembled from per-term coefficient tables that are evaluated once
-per (mesh, problem, truncation) and then combined with a single
-mat-vec per sample, so the per-sample cost scales like s * h^-2.
+quadratic integrands).
+
+Assembly is interior-only: the stiffness and mass matrices live on the
+interior DOFs (homogeneous Dirichlet boundary), and both are built on
+one CSR pattern per mesh, so every shifted operator of that mesh shares
+it (see ``sparse_linalg``).  The stiffness matrix for a parameter ``y``
+combines per-term coefficient tables, evaluated once per (mesh, problem,
+truncation), with a single mat-vec per sample, so the per-sample cost
+scales like s * h^-2.  Tables larger than ``_TABLE_MAX_FLOATS`` are not
+kept; the coefficient is then evaluated term by term on every call
+(``CoefficientSeries.a_values``), which skips the zero entries of y.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ _PHI = np.array([
 ])
 _PHI_OUTER = np.einsum("qi,qj->qij", _PHI, _PHI)
 
-# cached coefficient tables are kept only below this size (floats)
+# coefficient tables are kept only below this size (floats)
 _TABLE_MAX_FLOATS = 2 ** 25
-_COEFF_CHUNK = 2 ** 18
 
 
 class CoefficientBoundError(ValueError):
@@ -107,13 +113,6 @@ class TriMesh:
             raise ValueError("nodal vector has wrong length")
         return u_full[self.interior_nodes]
 
-    def dump(self, stream) -> None:
-        """Plain-text listing: one node "x y" per line, then one element "i j k"."""
-        for x, y in self.nodes:
-            stream.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in self.elements:
-            stream.write(f"{i} {j} {k}\n")
-
 
 @lru_cache(maxsize=None)
 def build_uniform_mesh(level_exponent: int) -> TriMesh:
@@ -122,7 +121,7 @@ def build_uniform_mesh(level_exponent: int) -> TriMesh:
 
 
 class _Geometry:
-    """Per-mesh quadrature geometry and sparsity patterns."""
+    """Per-mesh quadrature geometry and the interior sparsity pattern."""
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
@@ -141,46 +140,33 @@ class _Geometry:
         grads = np.einsum("eab,ib->eia", inv, ref_grads)    # (nel, 3, 2)
         self.grad_dot = np.einsum("eia,eja->eij", grads, grads)
         self.quad_points = 0.5 * (p + np.roll(p, -1, axis=1))  # (nel, 3, 2)
-        self.n_quad = 3 * mesh.n_elements
-        self._patterns = {}
 
-    def pattern(self, interior: bool):
-        """CSR pattern plus the slot of each of the 9*nel local entries."""
-        if interior not in self._patterns:
-            mesh = self.mesh
-            ele = mesh.elements
-            rows = np.repeat(ele, 3, axis=1).ravel()
-            cols = np.tile(ele, (1, 3)).ravel()
-            if interior:
-                rows = mesh.interior_index[rows]
-                cols = mesh.interior_index[cols]
-                keep = (rows >= 0) & (cols >= 0)
-                rows, cols = rows[keep], cols[keep]
-                dim = mesh.n_interior
-            else:
-                keep = slice(None)
-                dim = mesh.n_nodes
-            keys = rows * dim + cols
-            unique_keys, slots = np.unique(keys, return_inverse=True)
-            indices = (unique_keys % dim).astype(np.int32)
-            indptr = np.zeros(dim + 1, dtype=np.int32)
-            np.add.at(indptr, (unique_keys // dim) + 1, 1)
-            indptr = np.cumsum(indptr, dtype=np.int32)
-            self._patterns[interior] = (keep, slots, indices, indptr, dim)
-        return self._patterns[interior]
+        # interior CSR pattern; the local entry keep[k] of the 9*nel lands
+        # in slot slots[k] of the data array
+        ele = mesh.elements
+        rows = mesh.interior_index[np.repeat(ele, 3, axis=1).ravel()]
+        cols = mesh.interior_index[np.tile(ele, (1, 3)).ravel()]
+        self.keep = (rows >= 0) & (cols >= 0)
+        dim = mesh.n_interior
+        keys = rows[self.keep] * dim + cols[self.keep]
+        unique_keys, self.slots = np.unique(keys, return_inverse=True)
+        self.indices = (unique_keys % dim).astype(np.int32)
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.add.at(indptr, (unique_keys // dim) + 1, 1)
+        self.indptr = np.cumsum(indptr, dtype=np.int32)
 
-    def assemble(self, cell_scalars: np.ndarray, quad_scalars: np.ndarray | None,
-                 interior: bool) -> sp.csr_matrix:
+    def assemble(self, cell_scalars: np.ndarray | None,
+                 quad_scalars: np.ndarray | None) -> sp.csr_matrix:
         """Sum ``cell * grad_i.grad_j + (area/3) * quad_q * phi_i phi_j``."""
         vals = self.grad_dot * cell_scalars[:, None, None] if cell_scalars is not None \
             else np.zeros_like(self.grad_dot)
         if quad_scalars is not None:
             w = quad_scalars.reshape(-1, 3) * (self.area / 3.0)
             vals = vals + np.einsum("eq,qij->eij", w, _PHI_OUTER)
-        keep, slots, indices, indptr, dim = self.pattern(interior)
-        flat = vals.ravel()[keep] if interior else vals.ravel()
-        data = np.bincount(slots, weights=flat, minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+        data = np.bincount(self.slots, weights=vals.ravel()[self.keep],
+                           minlength=self.indices.size)
+        dim = self.mesh.n_interior
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
 
 
 @lru_cache(maxsize=None)
@@ -191,51 +177,35 @@ def _geometry(mesh: TriMesh) -> _Geometry:
 class _CoefficientTables:
     """Values of every coefficient term at the quadrature nodes.
 
-    Per-term tables are materialised when they fit in memory; otherwise
-    the affine combination is evaluated on the fly in chunks.
+    Per-term tables are kept when ``s`` of them fit in
+    ``_TABLE_MAX_FLOATS``; the coefficient at y is then one mat-vec.
+    Otherwise it is evaluated term by term on every call.
     """
 
     def __init__(self, mesh: TriMesh, problem: CoefficientSeries, s: int):
-        geo = _geometry(mesh)
+        pts = _geometry(mesh).quad_points.reshape(-1, 2)
         self.problem = problem
-        self.s = s
-        pts = geo.quad_points.reshape(-1, 2)
         self._pts = pts
-        self.a0 = np.asarray(problem.a0(pts), dtype=float)
-        self.b0 = np.asarray(problem.b0(pts), dtype=float) if problem.has_b else None
-        self.c = np.asarray(problem.c(pts), dtype=float)
-        cache_terms = s * pts.shape[0] <= _TABLE_MAX_FLOATS
         self.aj = None
         self.bj = None
-        if cache_terms and s > 0:
+        if 0 < s and s * pts.shape[0] <= _TABLE_MAX_FLOATS:
+            self.a0 = np.asarray(problem.a0(pts), dtype=float)
             self.aj = np.stack([problem.a_term(j, pts) for j in range(1, s + 1)])
             if problem.has_b:
+                self.b0 = np.asarray(problem.b0(pts), dtype=float)
                 self.bj = np.stack([problem.b_term(j, pts) for j in range(1, s + 1)])
 
-    def _combine(self, base, terms, term_fn, y):
-        out = base.copy()
-        if self.s == 0:
-            return out
-        if terms is not None:
-            out += y @ terms
-            return out
-        pts = self._pts
-        for start in range(0, pts.shape[0], _COEFF_CHUNK):
-            block = pts[start:start + _COEFF_CHUNK]
-            acc = np.zeros(block.shape[0])
-            for j in range(1, self.s + 1):
-                if y[j - 1] != 0.0:
-                    acc += y[j - 1] * term_fn(j, block)
-            out[start:start + _COEFF_CHUNK] += acc
-        return out
-
     def a_at_quad(self, y: np.ndarray) -> np.ndarray:
-        return self._combine(self.a0, self.aj, self.problem.a_term, y)
+        if self.aj is None:
+            return self.problem.a_values(self._pts, y)
+        return self.a0 + y @ self.aj
 
     def b_at_quad(self, y: np.ndarray) -> np.ndarray | None:
         if not self.problem.has_b:
             return None
-        return self._combine(self.b0, self.bj, self.problem.b_term, y)
+        if self.bj is None:
+            return self.problem.b_values(self._pts, y)
+        return self.b0 + y @ self.bj
 
 
 @lru_cache(maxsize=32)
@@ -243,13 +213,14 @@ def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> _CoefficientTa
     return _CoefficientTables(mesh, problem, s)
 
 
-def _as_param_array(y) -> np.ndarray:
-    values = getattr(y, "values", y)
-    return np.atleast_1d(np.asarray(values, dtype=float))
+def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
+    """Stiffness matrix on the interior DOFs (the eigenproblem operator).
 
-
-def _stiffness(mesh: TriMesh, problem: CoefficientSeries, y, interior: bool):
-    y = _as_param_array(y)
+    Entry (i, j) approximates the integral of
+    a^s(x,y) grad(phi_i).grad(phi_j) + b^s(x,y) phi_i phi_j by the
+    edge-midpoint rule; the truncation dimension s is len(y).
+    """
+    y = np.asarray(y, dtype=float)
     geo = _geometry(mesh)
     tab = _tables(mesh, problem, y.size)
     a_q = tab.a_at_quad(y)
@@ -259,63 +230,21 @@ def _stiffness(mesh: TriMesh, problem: CoefficientSeries, y, interior: bool):
             f"{problem.name}: a(x, y) = {worst:g} <= 0 at a quadrature node"
         )
     cell = (geo.area / 3.0) * a_q.reshape(-1, 3).sum(axis=1)
-    b_q = tab.b_at_quad(y)
-    return geo.assemble(cell, b_q, interior)
-
-
-def assemble_stiffness(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
-    """Stiffness matrix of the truncated bilinear form over all nodes.
-
-    Entry (i, j) approximates the integral of
-    a^s(x,y) grad(phi_i).grad(phi_j) + b^s(x,y) phi_i phi_j by the
-    edge-midpoint rule; the truncation dimension is len(y).
-    """
-    return _stiffness(mesh, problem, y, interior=False)
-
-
-def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
-    """Stiffness matrix restricted to interior DOFs (the eigenproblem operator)."""
-    return _stiffness(mesh, problem, y, interior=True)
+    return geo.assemble(cell, tab.b_at_quad(y))
 
 
 @lru_cache(maxsize=64)
-def _mass(mesh: TriMesh, problem: CoefficientSeries, interior: bool) -> sp.csr_matrix:
+def mass_interior(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
+    """Mass matrix of the weight c on the interior DOFs; cached per mesh."""
     geo = _geometry(mesh)
-    tab = _tables(mesh, problem, 0)
-    if np.any(tab.c <= 0.0):
+    c = np.asarray(problem.c(geo.quad_points.reshape(-1, 2)), dtype=float)
+    if np.any(c <= 0.0):
         raise CoefficientBoundError(
             f"{problem.name}: c(x) <= 0 at a quadrature node"
         )
-    mat = geo.assemble(None, tab.c, interior)
+    mat = geo.assemble(None, c)
     mat.data.setflags(write=False)
     return mat
-
-
-def assemble_mass(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
-    """Mass matrix over all nodes; independent of y and cached per mesh."""
-    return _mass(mesh, problem, False)
-
-
-def mass_interior(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
-    return _mass(mesh, problem, True)
-
-
-@lru_cache(maxsize=None)
-def basis_integrals(mesh: TriMesh) -> np.ndarray:
-    """Integral of every nodal basis function (row sums of the unit mass matrix)."""
-    geo = _geometry(mesh)
-    mat = geo.assemble(None, np.ones(geo.n_quad), interior=False)
-    out = np.asarray(mat @ np.ones(mesh.n_nodes))
-    out.setflags(write=False)
-    return out
-
-
-def restrict_interior(matrix: sp.spmatrix, mesh: TriMesh) -> sp.csr_matrix:
-    """Restrict a full nodal matrix to the interior degrees of freedom."""
-    if matrix.shape != (mesh.n_nodes, mesh.n_nodes):
-        raise ValueError("matrix shape does not match the mesh")
-    idx = mesh.interior_nodes
-    return matrix.tocsr()[idx][:, idx]
 
 
 def prolongate(u_coarse: np.ndarray, coarse: TriMesh, fine: TriMesh) -> np.ndarray:

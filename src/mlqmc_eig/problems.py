@@ -83,56 +83,6 @@ class CoefficientSeries:
         return out
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Point in the parameter box [-1/2, 1/2]^s."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("parameter vector must be 1-d and non-empty")
-        if np.any(np.abs(v) > 0.5):
-            raise ValueError("parameter entries must lie in [-1/2, 1/2]")
-
-    @property
-    def dimension(self) -> int:
-        return self.values.size
-
-
-def truncate(y: ParamVector, s_prime: int) -> ParamVector:
-    """Keep the first s' entries (set the tail to zero, logically)."""
-    if s_prime < 1:
-        raise ValueError("truncation dimension must be >= 1")
-    if s_prime > y.dimension:
-        raise ValueError(f"cannot truncate to {s_prime} > dimension {y.dimension}")
-    return ParamVector(y.values[:s_prime])
-
-
-def _param_values(y) -> np.ndarray:
-    if isinstance(y, ParamVector):
-        return y.values
-    return np.asarray(y, dtype=float)
-
-
-def eval_coeffs(series: CoefficientSeries, x, y) -> tuple[float, float]:
-    """Evaluate (a, b) at a single point x for parameter y; a must stay positive."""
-    x = np.asarray(x, dtype=float)
-    yv = _param_values(y)
-    a = series.a_values(x, yv)
-    b = series.b_values(x, yv)
-    if np.any(a <= 0.0):
-        raise ValueError(
-            f"{series.name}: coefficient a non-positive at x={x} (configuration error)"
-        )
-    if x.ndim == 1:
-        return float(a), float(b)
-    return a, b
-
-
 def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
     """Pure diffusion on the unit square with smooth oscillatory modes.
 

@@ -11,7 +11,7 @@ coefficient parameters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -156,9 +156,6 @@ class ShiftSet:
         key = (r,) if self.shared else (level, r)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.default_rng(ss).random(dim)
-
-    def shifts_for_level(self, level: int, dim: int) -> np.ndarray:
-        return np.stack([self.shift(level, r, dim) for r in range(self.n_shifts)])
 
 
 def shift_average_and_variance(per_shift_estimates) -> tuple[float, float]:

@@ -6,15 +6,17 @@ one negative eigenvalue.  A sparse LU with partial pivoting (SuperLU)
 handles that robustly at desk scale; near-singular factorizations are
 detected from the pivot magnitudes so callers can nudge the shift.
 
-Every shifted operator on one mesh has the same sparsity pattern: the
-interior stiffness and mass matrices share one CSR pattern.  The
-fill-reducing ordering is therefore built once per pattern, on its first
-factorization, and kept with the gather that takes values on the CSR
-pattern to the permuted CSC pattern.  For a pair on the k x k interior
-grid the ordering is a geometric nested dissection (George 1973); for
-any other pair it is the identity.  Each factorization is then one
-subtraction of value arrays, one gather and one SuperLU call that keeps
-the given column order (``permc_spec="NATURAL"``).
+A and M must share one canonical CSR pattern: the interior stiffness
+and mass matrices of a mesh do, so every shifted operator on that mesh
+has the mesh's pattern, and a pair on two different patterns is
+rejected with ``ValueError``.  The fill-reducing ordering is therefore
+built once per pattern, on its first factorization, and kept with the
+gather that takes values on the CSR pattern to the permuted CSC
+pattern.  For a pair on the k x k interior grid the ordering is a
+geometric nested dissection (George 1973); for any other pattern it is
+the identity.  Each factorization is then one subtraction of value
+arrays, one gather and one SuperLU call that keeps the given column
+order (``permc_spec="NATURAL"``).
 """
 
 from __future__ import annotations
@@ -130,25 +132,19 @@ def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
 
 
 def _on_one_pattern(A: sp.spmatrix, M: sp.spmatrix):
-    """(ordering, a, m): values of A and M on one CSR pattern and its ordering.
-
-    A pair on a shared canonical pattern uses it as is.  Any other pair
-    is taken to the union of its patterns, in the identity order.
-    """
+    """(ordering, a, m): the shared CSR pattern's ordering and the values."""
     A, M = A.tocsr(), M.tocsr()
-    if (A.has_canonical_format and M.has_canonical_format
+    if not (A.has_canonical_format and M.has_canonical_format
             and _same_array(A.indptr, M.indptr) and _same_array(A.indices, M.indices)):
-        return _cached_ordering(A.indptr, A.indices), A.data, M.data
-    union = (abs(A) + abs(M)).tocsr()
-    union.sum_duplicates()
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(union.indptr))
-    a = np.asarray(A[rows, union.indices], dtype=float).ravel()
-    m = np.asarray(M[rows, union.indices], dtype=float).ravel()
-    return _Ordering(union.indptr, union.indices, np.arange(A.shape[0])), a, m
+        raise ValueError("A and M must share one canonical CSR pattern")
+    return _cached_ordering(A.indptr, A.indices), A.data, M.data
 
 
 class FactorizedOperator:
-    """Direct factorization of A - sigma*M, shareable across solves."""
+    """Direct factorization of A - sigma*M, A and M on one CSR pattern.
+
+    Shareable across solves; a pair on two patterns raises ValueError.
+    """
 
     def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float):
         if A.shape != M.shape or A.shape[0] != A.shape[1]:

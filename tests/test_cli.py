@@ -59,6 +59,26 @@ class TestConfig:
             with pytest.raises(ConfigError, match="decreasing"):
                 ExperimentConfig.from_file(path)
 
+    def test_unknown_s_policy(self, tmp_path):
+        path = write_config(tmp_path, s_policy="bogus")
+        with pytest.raises(ConfigError, match="bogus"):
+            ExperimentConfig.from_file(path)
+        assert main(["run", "--config", str(path)]) == 2
+
+    def test_problem_parameter_of_other_problem(self, tmp_path):
+        path = write_config(tmp_path, problem={"name": "problem1", "p_a": 2.0})
+        with pytest.raises(ConfigError, match="p_a"):
+            ExperimentConfig.from_file(path)
+        assert main(["run", "--config", str(path)]) == 2
+
+    def test_unknown_compare_estimator(self, tmp_path):
+        path = write_config(tmp_path, tolerances=[0.2], estimators=["mlqmc", "bogus"])
+        with pytest.raises(ConfigError, match="bogus"):
+            ExperimentConfig.from_file(path)
+        out = tmp_path / "never"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_r_floor_for_qmc(self, tmp_path):
         path = write_config(tmp_path, R=1)
         with pytest.raises(ConfigError, match="R >= 2"):
@@ -195,3 +215,12 @@ class TestCompare:
         rows = (Path(cfg.out_dir) / "cost_vs_tolerance.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2
         assert rows[1].split(",")[1] == "mlqmc"
+
+    def test_later_tolerance_at_level_cap_keeps_achieved(self, tmp_path):
+        path = write_config(tmp_path, tolerances=[0.625, 0.05], R=4, max_level=1,
+                            estimators=["mlqmc", "qmc"])
+        out = tmp_path / "capped"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
+        rows = (out / "cost_vs_tolerance.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["0.625", "mlqmc"],
+                                                              ["0.625", "qmc"]]

@@ -17,7 +17,7 @@ from mlqmc_eig import (
     two_grid_eigenpair,
     warm_start_from,
 )
-from mlqmc_eig.eigensolver import two_grid_fine_update
+from mlqmc_eig.eigensolver import _gap_estimate
 
 TOL = 5e-8
 
@@ -107,11 +107,17 @@ class TestColdStart:
         p2, _ = smallest_eigenpair_cold(A2, M2, TOL)
         assert p1.lam == p2.lam
 
-    def test_gap_estimate_exposed(self, prob1):
-        A, M = laplacian_pair(3, prob1)
-        _, stats = smallest_eigenpair_cold(A, M, TOL)
-        assert stats.gap_estimate is not None and stats.gap_estimate > 0
-        assert len(stats.shift_history) >= 5
+    def test_gap_estimate_exposed(self):
+        # inverse iteration on lam1 = 2, lam2 = 3: the Rayleigh quotient
+        # error shrinks by (lam1/lam2)^2 = 4/9 per step
+        history = [2.0 + (4.0 / 9.0) ** k for k in range(5)]
+        assert _gap_estimate(history, 2.0) == pytest.approx(1.0, rel=1e-12)
+        # the estimate is capped at lam
+        history = [1.0 + (1.0 / 9.0) ** k for k in range(5)]
+        assert _gap_estimate(history, 1.0) == pytest.approx(1.0, rel=1e-12)
+        # degenerate histories fall back to lam
+        assert _gap_estimate([5.0, 5.0, 5.0], 5.0) == 5.0
+        assert _gap_estimate([7.0, 6.0, 5.0], 5.0) == 5.0
 
 
 class TestMonotoneConvergence:

@@ -13,7 +13,6 @@ from mlqmc_eig import (
     adaptive_mlqmc,
     build_uniform_mesh,
     default_levels,
-    functional_of_eigenfunction,
     level_params,
     mass_interior,
     mc_estimate,
@@ -299,32 +298,3 @@ class TestAdaptive:
         assert any(t["action"] == "double" for d in alone for t in d["trajectory"])
         assert len(computed) == len(set(computed)) == len(evaluated)
         assert len(computed) < sum(len(d["trajectory"]) for d in alone)
-
-
-class TestFunctional:
-    def test_constant_one_gives_area(self):
-        mesh = build_uniform_mesh(3)
-        assert functional_of_eigenfunction(np.ones(mesh.n_nodes), mesh) \
-            == pytest.approx(1.0, abs=1e-13)
-
-    def test_sign_flip(self, prob1, rng):
-        mesh = build_uniform_mesh(3)
-        u = rng.standard_normal(mesh.n_interior)
-        g = functional_of_eigenfunction(u, mesh)
-        assert functional_of_eigenfunction(-u, mesh) == pytest.approx(-g)
-
-    def test_ground_state_positive_mean(self, prob1):
-        # dense-oracle eigenfunction, sign-fixed like the solver does
-        mesh = build_uniform_mesh(3)
-        A = stiffness_interior(mesh, prob1, np.zeros(1))
-        M = mass_interior(mesh, prob1)
-        _, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
-        u = vecs[:, 0]
-        if u[np.argmax(np.abs(u))] < 0:
-            u = -u
-        assert functional_of_eigenfunction(u, mesh) > 0
-
-    def test_rejects_unknown_kind(self):
-        mesh = build_uniform_mesh(2)
-        with pytest.raises(ValueError):
-            functional_of_eigenfunction(np.ones(mesh.n_nodes), mesh, kind="flux")

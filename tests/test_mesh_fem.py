@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,16 +6,13 @@ import scipy.linalg
 
 from mlqmc_eig import (
     CoefficientSeries,
-    assemble_mass,
-    assemble_stiffness,
     build_uniform_mesh,
     mass_interior,
-    problem1,
     prolongate,
-    restrict_interior,
     stiffness_interior,
 )
-from mlqmc_eig.mesh_fem import CoefficientBoundError, basis_integrals
+from mlqmc_eig import mesh_fem
+from mlqmc_eig.mesh_fem import CoefficientBoundError
 
 
 def constant_series(a0=1.0, c=1.0, b0=None):
@@ -64,6 +60,19 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
     return A, M
 
 
+def interior_block(mesh, matrix):
+    """The rows and columns of a full nodal matrix at the interior nodes."""
+    idx = mesh.interior_nodes
+    return matrix[np.ix_(idx, idx)]
+
+
+def far_from_boundary(mesh):
+    """Interior-DOF indices of the nodes with no boundary neighbour."""
+    near = np.zeros(mesh.n_nodes, dtype=bool)
+    near[mesh.elements[mesh.is_boundary[mesh.elements].any(axis=1)]] = True
+    return mesh.interior_index[~near]
+
+
 class TestMesh:
     def test_counts_m1(self):
         mesh = build_uniform_mesh(1)
@@ -108,21 +117,17 @@ class TestMesh:
         with pytest.raises(ValueError):
             build_uniform_mesh(20)
 
-    def test_dump_format(self):
-        mesh = build_uniform_mesh(1)
-        buf = io.StringIO()
-        mesh.dump(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == mesh.n_nodes + mesh.n_elements
-        assert len(lines[0].split()) == 2
-        assert len(lines[-1].split()) == 3
-
 
 class TestAssembly:
-    def test_stiffness_annihilates_constants(self, prob1):
-        mesh = build_uniform_mesh(3)
-        A = assemble_stiffness(mesh, prob1, np.zeros(4))
-        assert np.abs(A @ np.ones(mesh.n_nodes)).max() < 1e-12
+    def test_stiffness_annihilates_constants(self, prob1, rng):
+        # a row whose node has no boundary neighbour holds the whole
+        # stencil, which sums to zero
+        mesh = build_uniform_mesh(4)
+        far = far_from_boundary(mesh)
+        assert far.size == (mesh.n_per_side - 3) ** 2
+        A = stiffness_interior(mesh, prob1, rng.random(8) - 0.5)
+        row_sums = A @ np.ones(mesh.n_interior)
+        assert np.abs(row_sums[far]).max() < 1e-12 * np.abs(A.diagonal()).max()
 
     def test_restricted_positive_definite(self, prob1):
         mesh = build_uniform_mesh(3)
@@ -138,50 +143,83 @@ class TestAssembly:
             return 1.0 + 0.5 * math.sin(math.pi * x[0]) * math.sin(2 * math.pi * x[1])
 
         A_oracle, _ = naive_assembly(mesh, a_fn, lambda x: 0.0, lambda x: 1.0)
-        A = assemble_stiffness(mesh, prob1, y).toarray()
-        assert np.allclose(A, A_oracle, atol=1e-12)
+        A = stiffness_interior(mesh, prob1, y).toarray()
+        assert np.allclose(A, interior_block(mesh, A_oracle), atol=1e-12)
 
     def test_mass_matches_naive_oracle(self, prob1):
         mesh = build_uniform_mesh(3)
         _, M_oracle = naive_assembly(
             mesh, lambda x: 1.0, lambda x: 0.0, lambda x: 1.0
         )
-        M = assemble_mass(mesh, prob1).toarray()
-        assert np.allclose(M, M_oracle, atol=1e-12)
+        M = mass_interior(mesh, prob1).toarray()
+        assert np.allclose(M, interior_block(mesh, M_oracle), atol=1e-12)
 
     def test_mass_partition_of_unity(self, prob1):
+        # a row of a node with no boundary neighbour sums to the integral
+        # of its basis function, h^2, since the basis functions sum to 1
         mesh = build_uniform_mesh(3)
-        assert assemble_mass(mesh, prob1).sum() == pytest.approx(1.0, abs=1e-12)
+        far = far_from_boundary(mesh)
+        row_sums = mass_interior(mesh, prob1) @ np.ones(mesh.n_interior)
+        assert np.allclose(row_sums[far], mesh.h ** 2, rtol=1e-13, atol=0)
 
     def test_mass_linearity_in_c(self):
         mesh = build_uniform_mesh(2)
-        m1 = assemble_mass(mesh, constant_series(c=1.0)).toarray()
-        m2 = assemble_mass(mesh, constant_series(c=2.0)).toarray()
+        m1 = mass_interior(mesh, constant_series(c=1.0)).toarray()
+        m2 = mass_interior(mesh, constant_series(c=2.0)).toarray()
         assert np.allclose(m2, 2.0 * m1, rtol=1e-14)
 
     def test_reaction_term_included(self):
         mesh = build_uniform_mesh(2)
         series = constant_series(a0=1.0, c=1.0, b0=3.0)
-        A = assemble_stiffness(mesh, series, np.zeros(2)).toarray()
-        A0 = assemble_stiffness(mesh, constant_series(), np.zeros(2)).toarray()
-        M = assemble_mass(mesh, series).toarray()
+        A = stiffness_interior(mesh, series, np.zeros(2)).toarray()
+        A0 = stiffness_interior(mesh, constant_series(), np.zeros(2)).toarray()
+        M = mass_interior(mesh, series).toarray()
         assert np.allclose(A - A0, 3.0 * M, atol=1e-13)
 
     def test_symmetry(self, prob1, rng):
         mesh = build_uniform_mesh(4)
         y = rng.random(64) - 0.5
-        A = assemble_stiffness(mesh, prob1, y)
+        A = stiffness_interior(mesh, prob1, y)
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-13 * np.abs(A.toarray()).max()
 
-    def test_restriction_matches_interior_assembly(self, prob1, rng):
-        mesh = build_uniform_mesh(3)
-        y = rng.random(16) - 0.5
-        full = assemble_stiffness(mesh, prob1, y)
-        direct = stiffness_interior(mesh, prob1, y)
-        restricted = restrict_interior(full, mesh)
-        assert np.allclose(direct.toarray(), restricted.toarray(), atol=0,
-                           rtol=1e-15)
+    def test_restriction_matches_interior_assembly(self, prob1, prob2, rng):
+        # the interior-only assembly equals the full nodal oracle restricted
+        # to the interior nodes, at a random y and with a reaction term;
+        # m = 4, because every Problem-2 term vanishes at the edge
+        # midpoints of the m = 3 mesh
+        mesh = build_uniform_mesh(4)
+        for problem in (prob1, prob2):
+            y = rng.random(6) - 0.5
+            A_oracle, M_oracle = naive_assembly(
+                mesh,
+                lambda x: float(problem.a_values(x, y)),
+                lambda x: float(problem.b_values(x, y)),
+                lambda x: float(problem.c(x)),
+            )
+            A = stiffness_interior(mesh, problem, y).toarray()
+            M = mass_interior(mesh, problem).toarray()
+            scale = np.abs(A).max()
+            assert np.allclose(A, interior_block(mesh, A_oracle),
+                               rtol=0, atol=1e-13 * scale)
+            assert np.allclose(M, interior_block(mesh, M_oracle),
+                               rtol=0, atol=1e-13 * np.abs(M).max())
+
+    def test_uncached_coefficients_match_tables(self, prob1, prob2, rng, monkeypatch):
+        # above _TABLE_MAX_FLOATS the coefficient is evaluated term by term
+        mesh = build_uniform_mesh(4)
+        for problem in (prob1, prob2):
+            y = rng.random(16) - 0.5
+            cached = stiffness_interior(mesh, problem, y).toarray()
+            monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 0)
+            mesh_fem._tables.cache_clear()
+            try:
+                assert mesh_fem._tables(mesh, problem, y.size).aj is None
+                uncached = stiffness_interior(mesh, problem, y).toarray()
+            finally:
+                monkeypatch.undo()
+                mesh_fem._tables.cache_clear()
+            assert np.abs(uncached - cached).max() <= 1e-13 * np.abs(cached).max()
 
     def test_signals_nonpositive_a(self):
         bad = CoefficientSeries(
@@ -194,7 +232,7 @@ class TestAssembly:
         )
         mesh = build_uniform_mesh(2)
         with pytest.raises(CoefficientBoundError):
-            assemble_stiffness(mesh, bad, np.array([-0.5]))
+            stiffness_interior(mesh, bad, np.array([-0.5]))
 
     def test_signals_nonpositive_c(self):
         def c(x):
@@ -209,7 +247,7 @@ class TestAssembly:
             a_max=1.0,
         )
         with pytest.raises(CoefficientBoundError):
-            assemble_mass(build_uniform_mesh(2), bad)
+            mass_interior(build_uniform_mesh(2), bad)
 
     def test_laplacian_ritz_values_above_exact(self, prob1):
         # FE eigenvalues converge from above: three smallest Ritz values
@@ -229,10 +267,6 @@ class TestAssembly:
             lams.append(scipy.linalg.eigh(A.toarray(), M.toarray(),
                                           eigvals_only=True)[0])
         assert lams[0] >= lams[1] >= lams[2]
-
-    def test_basis_integrals_partition(self):
-        mesh = build_uniform_mesh(3)
-        assert basis_integrals(mesh).sum() == pytest.approx(1.0, abs=1e-13)
 
 
 class TestProlongate:

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from mlqmc_eig import (
-    CoefficientSeries,
-    ParamVector,
-    eval_coeffs,
-    make_problem,
-    problem1,
-    problem2,
-    truncate,
-    zeta,
-)
+from mlqmc_eig import make_problem, problem1, problem2, zeta
 from mlqmc_eig.problems import island_mask
 
 
@@ -69,15 +60,14 @@ class TestProblem1:
 
     def test_eval_at_zero_gives_mean(self):
         p = problem1(2.0)
-        a, b = eval_coeffs(p, (0.37, 0.81), np.zeros(16))
-        assert a == pytest.approx(1.0, abs=1e-15)
-        assert b == 0.0
+        x = np.array([0.37, 0.81])
+        assert p.a_values(x, np.zeros(16)) == pytest.approx(1.0, abs=1e-15)
+        assert p.b_values(x, np.zeros(16)) == 0.0
 
     def test_eval_single_term(self):
         # y1 = 1/2 at x = (1/2, 1/2): sin(pi/2) sin(pi) = 0
         p = problem1(2.0)
-        a, _ = eval_coeffs(p, (0.5, 0.5), [0.5])
-        assert a == pytest.approx(1.0, abs=1e-15)
+        assert p.a_values(np.array([0.5, 0.5]), [0.5]) == pytest.approx(1.0, abs=1e-15)
 
     def test_eval_matches_direct_formula(self):
         p = problem1(2.0)
@@ -87,8 +77,7 @@ class TestProblem1:
         for j, yj in enumerate(y, start=1):
             expected += yj * j ** -2.0 * math.sin(j * math.pi * x[0]) \
                 * math.sin((j + 1) * math.pi * x[1])
-        a, _ = eval_coeffs(p, x, y)
-        assert a == pytest.approx(expected, abs=1e-14)
+        assert p.a_values(np.array(x), y) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_small_decay(self):
         with pytest.raises(ValueError):
@@ -99,18 +88,24 @@ class TestProblem1:
         for _ in range(50):
             x = rng.random(2)
             y = rng.random(64) - 0.5
-            a, _ = eval_coeffs(p, x, y)
-            assert a >= p.a_min - 1e-12
+            assert p.a_values(x, y) >= p.a_min - 1e-12
 
     def test_linearity_in_y(self, rng):
         p = problem1(2.0)
         x = rng.random(2)
         y1 = rng.random(32) - 0.5
         y2 = rng.random(32) - 0.5
-        a_mid, _ = eval_coeffs(p, x, (y1 + y2) / 2)
-        a1, _ = eval_coeffs(p, x, y1)
-        a2, _ = eval_coeffs(p, x, y2)
+        a_mid = p.a_values(x, (y1 + y2) / 2)
+        a1 = p.a_values(x, y1)
+        a2 = p.a_values(x, y2)
         assert a_mid == pytest.approx((a1 + a2) / 2, abs=1e-13)
+
+    def test_truncate_matches_zero_padding(self, prob1, rng):
+        y = rng.random(8) - 0.5
+        x = rng.random(2)
+        padded = np.concatenate([y[:3], np.zeros(5)])
+        assert prob1.a_values(x, y[:3]) == pytest.approx(prob1.a_values(x, padded),
+                                                         abs=1e-15)
 
 
 class TestProblem2:
@@ -162,45 +157,8 @@ class TestProblem2:
             problem2(1.0, 2.0, 2.0, 2.0)
 
 
-class TestParamVector:
-    def test_truncate_identity(self):
-        y = ParamVector(np.array([0.1, -0.2, 0.3]))
-        assert np.array_equal(truncate(y, 3).values, y.values)
-
-    def test_truncate_prefix(self):
-        y = ParamVector(np.array([0.1, -0.2, 0.3]))
-        assert np.array_equal(truncate(y, 1).values, [0.1])
-
-    def test_truncate_matches_zero_padding(self, prob1, rng):
-        y = ParamVector(rng.random(8) - 0.5)
-        x = rng.random(2)
-        padded = np.concatenate([y.values[:3], np.zeros(5)])
-        a_trunc, _ = eval_coeffs(prob1, x, truncate(y, 3))
-        a_pad, _ = eval_coeffs(prob1, x, padded)
-        assert a_trunc == pytest.approx(a_pad, abs=1e-15)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ParamVector(np.array([0.6]))
-        with pytest.raises(ValueError):
-            truncate(ParamVector(np.array([0.1])), 0)
-
-
 def test_make_problem_dispatch():
     assert make_problem("problem1", p_tilde=2.0).name.startswith("problem1")
     assert make_problem("problem2").name.startswith("problem2")
     with pytest.raises(ValueError):
         make_problem("problem3")
-
-
-def test_eval_coeffs_signals_nonpositive():
-    bad = CoefficientSeries(
-        name="bad",
-        a0=lambda x: np.full(np.asarray(x).shape[:-1], 0.1),
-        a_term=lambda j, x: np.ones(np.asarray(x).shape[:-1]),
-        c=lambda x: np.ones(np.asarray(x).shape[:-1]),
-        a_min=0.1,
-        a_max=1.0,
-    )
-    with pytest.raises(ValueError):
-        eval_coeffs(bad, (0.5, 0.5), [-0.5])

@@ -130,7 +130,8 @@ class TestShifts:
         assert np.array_equal(a, b[:8])
 
     def test_shift_in_unit_cube(self):
-        sh = ShiftSet(seed=0, n_shifts=2).shifts_for_level(0, 32)
+        shifts = ShiftSet(seed=0, n_shifts=2)
+        sh = np.stack([shifts.shift(0, r, 32) for r in range(2)])
         assert sh.shape == (2, 32)
         assert np.all((sh >= 0) & (sh < 1))
 
