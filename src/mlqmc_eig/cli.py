@@ -1,9 +1,10 @@
 """Config-driven experiment runner: `run`, `study` and `compare` subcommands.
 
-Experiments are described by a single JSON document (unknown keys are
-rejected) and produce machine-readable artifacts in the output
-directory: a full JSON report, a per-level CSV, and a cost-vs-tolerance
-CSV suitable for external plotting.  All file writes are atomic
+Experiments are described by a single JSON document (``_SCHEMA`` lists
+its keys; a malformed one is refused before any work) and produce
+machine-readable artifacts in the output directory: a full JSON report,
+a per-level CSV, and a cost-vs-tolerance CSV suitable for external
+plotting.  All file writes are atomic
 (write-then-rename) and nothing is written if a run fails.
 """
 
@@ -17,8 +18,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,13 +50,6 @@ COST_CSV_COLUMNS = [
 ]
 STUDY_CSV_COLUMNS = ["h", "lambda_h", "error_estimate"]
 
-_ALLOWED_TOP = {
-    "problem", "estimator", "tolerances", "levels", "R", "seed", "s",
-    "s_policy", "options", "out_dir", "generating_vector", "rq_tol",
-    "mesh_exponent", "N", "threads", "study", "estimators", "max_level",
-}
-_ALLOWED_OPTIONS = {"two_grid", "warm_start", "shared_shifts"}
-_ALLOWED_STUDY = {"mode", "exponents", "coarse_exponent", "coarse_s"}
 _ESTIMATORS = ("mlqmc", "mlmc", "qmc", "mc")
 
 
@@ -62,41 +57,110 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _as_kind(value, kind):
+    """``value`` as the JSON type ``kind``, where a float also takes an
+    integer (not a bool) and ``[t]`` is a list of t's; TypeError if not."""
+    if isinstance(kind, list) and type(value) is list:
+        return [_as_kind(v, kind[0]) for v in value]
+    if type(value) is kind or (kind is float and type(value) is int):
+        return float(value) if kind is float else value
+    raise TypeError
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A config key ("section.key" in a section), the field it fills, its JSON
+    type, its default and its domain: a test and the phrase that names it."""
+
+    path: str
+    field: str
+    kind: object
+    default: object
+    domain: tuple = (lambda v: True, "any")
+
+    def read(self, value):
+        try:
+            value = _as_kind(value, self.kind)
+        except (TypeError, OverflowError):
+            kind = self.kind
+            name = (f"a list, each {_TYPE_NAMES[kind[0]]}" if isinstance(kind, list)
+                    else _TYPE_NAMES[kind])
+            raise ConfigError(f"'{self.path}' must be {name}, got {value!r}") from None
+        test, phrase = self.domain
+        if not test(value):
+            raise ConfigError(f"'{self.path}' must be {phrase}, got {value!r}")
+        return value
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+
+# Every config key but the problem object, whose keys the problem factory checks.
+_SCHEMA = (
+    _Key("estimator", "estimator", str, "mlqmc",
+         (lambda v: v in _ESTIMATORS, f"one of {', '.join(_ESTIMATORS)}")),
+    _Key("estimators", "estimators", [str], [],
+         (lambda v: set(v) <= set(_ESTIMATORS), f"a list of {', '.join(_ESTIMATORS)}")),
+    _Key("tolerances", "tolerances", [float], [],
+         (lambda v: all(t > 0 for t in v) and all(b < a for a, b in zip(v, v[1:])),
+          "positive and decreasing")),
+    _Key("levels", "level_points", [int], [], (lambda v: all(n > 0 for n in v), "positive")),
+    _Key("R", "n_shifts", int, 8, _POSITIVE),
+    _Key("seed", "seed", int, 0, (lambda v: v >= 0, "non-negative")),
+    _Key("s", "s", int, 64, _POSITIVE),
+    _Key("s_policy", "s_policy", str, "fixed",
+         (lambda v: v in ("fixed", "geometric"), "fixed or geometric")),
+    _Key("mesh_exponent", "mesh_exponent", int, 3, _POSITIVE),
+    _Key("N", "n_points", int, 256, _POSITIVE),
+    _Key("threads", "threads", int, 1, _POSITIVE),
+    _Key("max_level", "max_level", int, 6, _POSITIVE),
+    _Key("out_dir", "out_dir", str, "results"),
+    _Key("generating_vector", "generating_vector", str, ""),   # "": the built-in one
+    _Key("rq_tol", "options.rq_tol", float, 5e-8, _POSITIVE),
+    _Key("options.two_grid", "options.two_grid", bool, True),
+    _Key("options.warm_start", "options.warm_start", bool, True),
+    _Key("study.mode", "study.mode", str, "direct",
+         (lambda v: v in ("direct", "two_grid"), "direct or two_grid")),
+    _Key("study.exponents", "study.exponents", [int], [3, 4, 5, 6],
+         (lambda v: len(v) >= 3 and min(v) > 0, "at least 3 positive mesh exponents")),
+    _Key("study.coarse_exponent", "study.coarse_exponent", int, 3, _POSITIVE),
+    _Key("study.coarse_s", "study.coarse_s", int, 8, _POSITIVE),
+)
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (see README for the schema)."""
+    """Validated experiment description; ``_SCHEMA`` lists its keys."""
 
     problem_name: str
     problem_params: dict
-    estimator: str = "mlqmc"
-    tolerances: list = field(default_factory=list)
-    level_points: list = field(default_factory=list)
-    n_shifts: int = 8
-    seed: int = 0
-    s: int = 64
-    s_policy: str = "fixed"
-    options: EstimatorOptions = EstimatorOptions()
-    out_dir: str = "results"
-    generating_vector: str | None = None
-    mesh_exponent: int = 3
-    n_points: int = 256
-    threads: int = 1
-    max_level: int = 6
-    study: dict = field(default_factory=dict)
-    estimators: list = field(default_factory=list)
+    estimator: str
+    tolerances: list
+    level_points: list
+    n_shifts: int
+    seed: int
+    s: int
+    s_policy: str
+    options: EstimatorOptions
+    out_dir: str
+    generating_vector: str
+    mesh_exponent: int
+    n_points: int
+    threads: int
+    max_level: int
+    study: SimpleNamespace      # the "study.*" keys of _SCHEMA
+    estimators: list
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _ALLOWED_TOP
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in raw:
-            raise ConfigError("config needs a 'problem' object")
-        prob = raw["problem"]
-        if not isinstance(prob, dict) or "name" not in prob:
-            raise ConfigError("'problem' must be an object with a 'name'")
+        prob = raw.get("problem")
+        if not isinstance(prob, dict) or not isinstance(prob.get("name"), str):
+            raise ConfigError("config needs a 'problem' object with a 'name'")
         params = {k: v for k, v in prob.items() if k != "name"}
         # the problem factory's signature is the check of the problem keys
         try:
@@ -104,64 +168,30 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem: {exc}") from None
 
-        opts_raw = raw.get("options", {})
-        unknown = set(opts_raw) - _ALLOWED_OPTIONS
-        if unknown:
-            raise ConfigError(f"unknown option keys: {sorted(unknown)}")
-        options = EstimatorOptions(
-            two_grid=bool(opts_raw.get("two_grid", True)),
-            warm_start=bool(opts_raw.get("warm_start", True)),
-            shared_shifts=bool(opts_raw.get("shared_shifts", False)),
-            rq_tol=float(raw.get("rq_tol", 5e-8)),
-        )
+        # every key by its path; a key that no row reads is unknown
+        given = {k: v for k, v in raw.items() if k not in ("problem", "options", "study")}
+        for name in ("options", "study"):
+            section = raw.get(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"'{name}' must be a JSON object, got {section!r}")
+            given.update({f"{name}.{k}": v for k, v in section.items()})
+        fields = {"": {}, "options": {}, "study": {}}
+        for key in _SCHEMA:
+            target, _, field_name = key.field.rpartition(".")
+            fields[target][field_name] = key.read(given.pop(key.path, key.default))
+        if given:
+            raise ConfigError(f"unknown config keys: {sorted(given)}")
+        config = cls(problem_name=prob["name"], problem_params=params,
+                     options=EstimatorOptions(**fields["options"]),
+                     study=SimpleNamespace(**fields["study"]), **fields[""])
 
-        tolerances = [float(t) for t in raw.get("tolerances", [])]
-        if tolerances:
-            if any(t <= 0 for t in tolerances):
-                raise ConfigError("tolerances must be positive")
-            if any(b >= a for a, b in zip(tolerances, tolerances[1:])):
-                raise ConfigError("tolerances must be decreasing")
-
-        level_points = [int(n) for n in raw.get("levels", [])]
-        estimator = raw.get("estimator", "mlqmc")
-        if estimator not in _ESTIMATORS:
-            raise ConfigError(f"unknown estimator {estimator!r}")
-        estimators = list(raw.get("estimators", []))
-        unknown = [kind for kind in estimators if kind not in _ESTIMATORS]
-        if unknown:
-            raise ConfigError(f"unknown estimators: {unknown}")
-        s_policy = str(raw.get("s_policy", "fixed"))
-        if s_policy not in ("fixed", "geometric"):
-            raise ConfigError(f"unknown s_policy {s_policy!r}")
-        n_shifts = int(raw.get("R", 8))
-        if estimator in ("qmc", "mlqmc") and n_shifts < 2:
+        if config.estimator in ("qmc", "mlqmc") and config.n_shifts < 2:
             raise ConfigError("QMC estimators need R >= 2")
-
-        study = raw.get("study", {})
-        unknown = set(study) - _ALLOWED_STUDY
-        if unknown:
-            raise ConfigError(f"unknown study keys: {sorted(unknown)}")
-
-        return cls(
-            problem_name=prob["name"],
-            problem_params=params,
-            estimator=estimator,
-            tolerances=tolerances,
-            level_points=level_points,
-            n_shifts=n_shifts,
-            seed=int(raw.get("seed", 0)),
-            s=int(raw.get("s", 64)),
-            s_policy=s_policy,
-            options=options,
-            out_dir=str(raw.get("out_dir", "results")),
-            generating_vector=raw.get("generating_vector"),
-            mesh_exponent=int(raw.get("mesh_exponent", 3)),
-            n_points=int(raw.get("N", 256)),
-            threads=int(raw.get("threads", 1)),
-            max_level=int(raw.get("max_level", 6)),
-            study=dict(study),
-            estimators=estimators,
-        )
+        points = {"mlqmc": config.level_points, "qmc": [config.n_points]}
+        if any(n & (n - 1) for n in points.get(config.estimator, [])):
+            raise ConfigError(f"{config.estimator} needs powers of 2 as points per "
+                              f"shift, got {points[config.estimator]}")
+        return config
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -306,16 +336,11 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
     """
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
-    mode = config.study.get("mode", "direct")
-    if mode not in ("direct", "two_grid"):
-        raise ConfigError(f"unknown study mode {mode!r}")
-    exponents = config.study.get("exponents", [3, 4, 5, 6])
-    if len(exponents) < 3:
-        raise ConfigError("study needs at least 3 mesh exponents")
+    exponents = config.study.exponents
     y = np.zeros(config.s)
 
     lams = []
-    if mode == "direct":
+    if config.study.mode == "direct":
         for m in exponents:
             mesh = build_uniform_mesh(m)
             A = stiffness_interior(mesh, problem, y[:config.s])
@@ -323,12 +348,10 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
             pair, _ = smallest_eigenpair_cold(A, M, config.options.rq_tol)
             lams.append(pair.lam)
     else:
-        coarse_m = int(config.study.get("coarse_exponent", 3))
-        coarse_s = int(config.study.get("coarse_s", 8))
-        coarse = build_uniform_mesh(coarse_m)
+        coarse = build_uniform_mesh(config.study.coarse_exponent), config.study.coarse_s
         for m in exponents:
             lam, _, _, _ = two_grid_eigenpair(
-                problem, y, (coarse, coarse_s), (build_uniform_mesh(m), config.s),
+                problem, y, coarse, (build_uniform_mesh(m), config.s),
                 tol=config.options.rq_tol,
             )
             lams.append(lam)
@@ -336,9 +359,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
     # reference: analytic 2 pi^2 a0 for problem 1, whose coefficient at
     # y = 0 is the constant a0; Richardson extrapolation at rate 2 otherwise
     if config.problem_name == "problem1":
-        a0 = 1.0 if config.problem_params.get("p_tilde", 2.0) >= 2.0 \
-            else math.pi / math.sqrt(2.0)
-        reference = 2.0 * math.pi ** 2 * a0
+        reference = 2.0 * math.pi ** 2 * float(problem.a0(np.zeros(2)))
     else:
         reference = lams[-1] + (lams[-1] - lams[-2]) / 3.0
 
@@ -350,7 +371,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
     rows += [[repr(h), repr(lam), repr(err)] for h, lam, err in zip(hs, lams, errors)]
     _atomic_write(out / "study.csv", _csv_text(rows))
     summary = {
-        "mode": mode,
+        "mode": config.study.mode,
         "reference": reference,
         "fitted_rate": rate,
         "h": hs,
@@ -388,19 +409,19 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
             if kind == "mlqmc":
                 rep = base
             elif kind == "mlmc":
-                rep = _grow_mlmc(problem, config, eps, finest)
+                rep = _grow(lambda counts: mlmc_estimate(
+                    problem, counts, config.seed, s=config.s,
+                    s_policy=config.s_policy, rq_tol=config.options.rq_tol),
+                    [16] * (finest + 1), var_target, 1 << 22)
             elif kind == "qmc":
-                rep = _grow_single(
-                    lambda n: qmc_single_level(
-                        problem, 3 + finest, config.s, n, config.n_shifts, z,
-                        config.seed, options=config.options,
-                        max_workers=config.threads),
-                    var_target, z.n_max)
+                rep = _grow(lambda counts: qmc_single_level(
+                    problem, 3 + finest, config.s, counts[0], config.n_shifts, z,
+                    config.seed, options=config.options, max_workers=config.threads),
+                    [16], var_target, z.n_max)
             else:
-                rep = _grow_single(
-                    lambda n: mc_estimate(problem, 3 + finest, config.s, n,
-                                          config.seed, rq_tol=config.options.rq_tol),
-                    var_target, 1 << 22)
+                rep = _grow(lambda counts: mc_estimate(
+                    problem, 3 + finest, config.s, counts[0], config.seed,
+                    rq_tol=config.options.rq_tol), [16], var_target, 1 << 22)
             if rep is None:
                 status = 1
                 continue
@@ -409,27 +430,15 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
     return status
 
 
-def _grow_single(make, var_target, n_cap, n0=16):
-    n = n0
+def _grow(make, counts, var_target, cap):
+    """``make(counts)``, doubling the count of the level with the largest
+    variance per work until the variance target is met; None past ``cap``."""
     while True:
-        rep = make(n)
-        if rep.total_variance <= var_target:
-            return rep
-        n *= 2
-        if n > n_cap:
-            return None
-
-
-def _grow_mlmc(problem, config, eps, finest):
-    var_target = eps ** 2 / 2.0
-    counts = [16] * (finest + 1)
-    while True:
-        rep = mlmc_estimate(problem, counts, config.seed, s=config.s,
-                            s_policy=config.s_policy, rq_tol=config.options.rq_tol)
+        rep = make(counts)
         if rep.total_variance <= var_target:
             return rep
         counts[largest_variance_per_work(rep.levels)] *= 2
-        if max(counts) > 1 << 22:
+        if max(counts) > cap:
             return None
 
 
@@ -448,25 +457,28 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker threads for streams")
+        p.add_argument("--seed", help="override the config seed")
+        p.add_argument("--threads", help="worker threads for streams")
     return parser
+
+
+def _override(path: str, text: str) -> int:
+    """An integer config key given in decimal digits by a flag or variable."""
+    key = next(key for key in _SCHEMA if key.path == path)
+    return key.read(int(text) if text.isdecimal() else text)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    seed = args.seed if args.seed is not None else os.environ.get(SEED_ENV)
     try:
         config = ExperimentConfig.from_file(args.config)
+        for path, text in (("seed", seed), ("threads", args.threads)):
+            if text is not None:
+                setattr(config, path, _override(path, text))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    seed_env = os.environ.get(SEED_ENV)
-    if args.seed is not None:
-        config.seed = args.seed
-    elif seed_env is not None:
-        config.seed = int(seed_env)
-    if args.threads is not None:
-        config.threads = args.threads
     out = args.out or os.environ.get(OUT_ENV) or config.out_dir
 
     try:

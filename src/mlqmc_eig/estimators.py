@@ -136,7 +136,6 @@ class EstimatorOptions:
 
     two_grid: bool = True
     warm_start: bool = True
-    shared_shifts: bool = False
     rq_tol: float = 5e-8
 
     def to_dict(self) -> dict:
@@ -395,7 +394,7 @@ def _lattice_levels(problem, levels, n_shifts: int, z: GeneratingVector, seed: i
                     options: EstimatorOptions, max_workers: int) -> list[LevelReport]:
     if n_shifts < 2:
         raise ValueError("need at least 2 random shifts for a variance estimate")
-    shift_set = ShiftSet(seed, n_shifts, shared=options.shared_shifts)
+    shift_set = ShiftSet(seed, n_shifts)
 
     def streams_of(lv):
         return [_lattice_points(z, lv, shift_set.shift(lv.ell, r, lv.s))
@@ -475,7 +474,7 @@ def largest_variance_per_work(levels: list[LevelReport]) -> int:
     """Index of the level whose variance per unit of work is largest.
 
     Doubling N there buys the most variance reduction per work; the
-    adaptive driver and the MLMC baseline of ``compare`` share this rule.
+    adaptive driver and the baselines of ``compare`` share this rule.
     """
     return int(np.argmax([lv.variance / lv.work_units for lv in levels]))
 

@@ -34,6 +34,11 @@ _PHI = np.array([
 ])
 _PHI_OUTER = np.einsum("qi,qj->qij", _PHI, _PHI)
 
+# h^2 grad(phi_i).grad(phi_j) on the lower (v00, v10, v11) and the upper
+# (v00, v11, v01) triangle of a cell; every mesh has only these two
+_STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
+                      [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
+
 # coefficient tables are kept only below this size (floats)
 _TABLE_MAX_FLOATS = 2 ** 25
 
@@ -127,18 +132,7 @@ class _Geometry:
         self.mesh = mesh
         p = mesh.element_coords()                       # (nel, 3, 2)
         self.area = mesh.h * mesh.h / 2.0
-        # gradients of the three barycentric basis functions per element
-        b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)  # rows e1, e2
-        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-        inv = np.empty_like(b)      # b^-1 = J^-T, J the reference-to-element map
-        inv[:, 0, 0] = b[:, 1, 1]
-        inv[:, 0, 1] = -b[:, 0, 1]
-        inv[:, 1, 0] = -b[:, 1, 0]
-        inv[:, 1, 1] = b[:, 0, 0]
-        inv /= det[:, None, None]
-        ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        grads = np.einsum("eab,ib->eia", inv, ref_grads)    # (nel, 3, 2)
-        self.grad_dot = np.einsum("eia,eja->eij", grads, grads)
+        self.stencils = _STENCILS / (mesh.h * mesh.h)   # exact: h^2 = 4^-m
         self.quad_points = 0.5 * (p + np.roll(p, -1, axis=1))  # (nel, 3, 2)
 
         # interior CSR pattern; the local entry keep[k] of the 9*nel lands
@@ -158,8 +152,9 @@ class _Geometry:
     def assemble(self, cell_scalars: np.ndarray | None,
                  quad_scalars: np.ndarray | None) -> sp.csr_matrix:
         """Sum ``cell * grad_i.grad_j + (area/3) * quad_q * phi_i phi_j``."""
-        vals = self.grad_dot * cell_scalars[:, None, None] if cell_scalars is not None \
-            else np.zeros_like(self.grad_dot)
+        # elements alternate lower, upper per cell
+        vals = np.zeros((self.mesh.n_elements, 3, 3)) if cell_scalars is None else \
+            (self.stencils * cell_scalars.reshape(-1, 2, 1, 1)).reshape(-1, 3, 3)
         if quad_scalars is not None:
             w = quad_scalars.reshape(-1, 3) * (self.area / 3.0)
             vals = vals + np.einsum("eq,qij->eij", w, _PHI_OUTER)

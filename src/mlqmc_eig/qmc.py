@@ -135,16 +135,10 @@ def shift_and_center(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftSet:
-    """Reproducible uniform random shifts, one stream per (level, shift).
-
-    With ``shared=True`` the same shifts are reused on every level (the
-    streams are keyed by the shift index only), which trades strict
-    independence across levels for nested-point reuse.
-    """
+    """Reproducible uniform random shifts, one stream per (level, shift)."""
 
     seed: int
     n_shifts: int
-    shared: bool = False
 
     def __post_init__(self):
         if self.n_shifts < 1:
@@ -153,8 +147,7 @@ class ShiftSet:
     def shift(self, level: int, r: int, dim: int) -> np.ndarray:
         if not 0 <= r < self.n_shifts:
             raise ValueError(f"shift index {r} outside [0, {self.n_shifts})")
-        key = (r,) if self.shared else (level, r)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(level, r))
         return np.random.default_rng(ss).random(dim)
 
 

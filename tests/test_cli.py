@@ -1,9 +1,11 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+from mlqmc_eig import cli
 from mlqmc_eig.cli import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +32,65 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# configs that must exit 2 at load; each names what the error must mention
+MALFORMED = [
+    pytest.param({"options": {"two_grid": "false"}}, "two_grid", id="bool-as-string"),
+    pytest.param({"R": "abc"}, "'R'", id="int-as-string"),
+    pytest.param({"levels": [3, 2]}, "powers of 2", id="mlqmc-levels-not-pow2"),
+    pytest.param({"estimator": "qmc", "N": 3}, "powers of 2", id="qmc-n-not-pow2"),
+    pytest.param({"s": 0}, "'s'", id="zero-dimension"),
+    pytest.param({"options": []}, "'options'", id="options-not-object"),
+    pytest.param({"seed": True}, "'seed'", id="bool-as-int"),
+    pytest.param({"R": 2.7}, "'R'", id="float-as-int"),
+    pytest.param({"study": {"exponents": [3, 4]}}, "exponents", id="two-exponents"),
+    pytest.param({"max_level": 0}, "max_level", id="zero-level-cap"),
+    pytest.param({"options": {"shared_shifts": False}}, "shared_shifts",
+                 id="removed-option"),
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _kind_name(kind):
+    return f"[{kind[0].__name__}]" if isinstance(kind, list) else kind.__name__
+
+
 class TestConfig:
+    @pytest.mark.parametrize("overrides, match", MALFORMED)
+    def test_malformed_config_exits_2_at_load(self, tmp_path, capsys, overrides, match):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(json.loads(path.read_text()))
+        out = tmp_path / "never"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_malformed_seed_from_environment_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = write_config(tmp_path, estimator="mc", N=4)
+        out = tmp_path / "never"
+        for text in ("abc", "-1", "1.5"):
+            monkeypatch.setenv("MLQMC_EIG_SEED", text)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and "'seed'" in lines[0]
+        assert not out.exists()
+
+    def test_readme_documents_the_schema(self):
+        text = README.read_text()
+        rows = re.findall(r"^\| `([\w.]+)` \| (\S+) \| `(.*)` \| (.*) \|$", text,
+                          re.MULTILINE)
+        documented = {key: (kind, json.loads(default), domain)
+                      for key, kind, default, domain in rows}
+        assert documented == {key.path: (_kind_name(key.kind), key.default,
+                                         key.domain[1]) for key in cli._SCHEMA}
+        example = text.split("Example config:")[1].split("```json")[1].split("```")[0]
+        config = ExperimentConfig.from_dict(json.loads(example))
+        assert config.tolerances == [0.04, 0.02, 0.01]
+        assert config.options.two_grid and config.options.warm_start
+
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
         with pytest.raises(ConfigError, match="bogus"):

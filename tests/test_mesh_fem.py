@@ -60,6 +60,36 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
     return A, M
 
 
+def general_grad_dot(mesh):
+    """grad(phi_i).grad(phi_j) per element from each element's Jacobian.
+
+    The formula of the general-geometry assembly that the two stencils
+    of ``mesh_fem`` replace; kept to show that they agree bitwise.
+    """
+    p = mesh.element_coords()
+    b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    inv = np.empty_like(b)
+    inv[:, 0, 0] = b[:, 1, 1]
+    inv[:, 0, 1] = -b[:, 0, 1]
+    inv[:, 1, 0] = -b[:, 1, 0]
+    inv[:, 1, 1] = b[:, 0, 0]
+    inv /= det[:, None, None]
+    ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    grads = np.einsum("eab,ib->eia", inv, ref_grads)
+    return np.einsum("eia,eja->eij", grads, grads)
+
+
+def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
+    """CSR data of ``geo.assemble`` computed from per-element ``grad_dot``."""
+    vals = grad_dot * cell_scalars[:, None, None] if cell_scalars is not None \
+        else np.zeros_like(grad_dot)
+    w = quad_scalars.reshape(-1, 3) * (geo.area / 3.0)
+    vals = vals + np.einsum("eq,qij->eij", w, mesh_fem._PHI_OUTER)
+    return np.bincount(geo.slots, weights=vals.ravel()[geo.keep],
+                       minlength=geo.indices.size)
+
+
 def interior_block(mesh, matrix):
     """The rows and columns of a full nodal matrix at the interior nodes."""
     idx = mesh.interior_nodes
@@ -204,6 +234,23 @@ class TestAssembly:
                                rtol=0, atol=1e-13 * scale)
             assert np.allclose(M, interior_block(mesh, M_oracle),
                                rtol=0, atol=1e-13 * np.abs(M).max())
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_stencils_match_general_geometry_bitwise(self, m):
+        mesh = build_uniform_mesh(m)
+        geo = mesh_fem._geometry(mesh)
+        grad_dot = general_grad_dot(mesh)
+        # elements alternate lower, upper triangle per cell
+        assert np.array_equal(grad_dot.reshape(-1, 2, 3, 3),
+                              np.broadcast_to(geo.stencils, (mesh.n_elements // 2, 2, 3, 3)))
+        assert np.array_equal(geo.stencils * mesh.h ** 2, mesh_fem._STENCILS)
+        rng = np.random.default_rng(m)
+        cell = rng.uniform(0.5, 2.0, mesh.n_elements)
+        quad = rng.uniform(0.5, 2.0, 3 * mesh.n_elements)
+        for cell_scalars in (cell, None):       # stiffness with reaction, mass
+            data = geo.assemble(cell_scalars, quad).data
+            assert np.array_equal(data, general_assembly_data(geo, grad_dot,
+                                                              cell_scalars, quad))
 
     def test_uncached_coefficients_match_tables(self, prob1, prob2, rng, monkeypatch):
         # above _TABLE_MAX_FLOATS the coefficient is evaluated term by term

@@ -123,12 +123,6 @@ class TestShifts:
         assert not np.array_equal(s1.shift(2, 1, 16), s1.shift(3, 1, 16))
         assert not np.array_equal(s1.shift(2, 1, 16), s1.shift(2, 2, 16))
 
-    def test_shared_shifts_across_levels(self):
-        s = ShiftSet(seed=7, n_shifts=3, shared=True)
-        a = s.shift(0, 1, 8)
-        b = s.shift(4, 1, 16)
-        assert np.array_equal(a, b[:8])
-
     def test_shift_in_unit_cube(self):
         shifts = ShiftSet(seed=0, n_shifts=2)
         sh = np.stack([shifts.shift(0, r, 32) for r in range(2)])
