@@ -191,6 +191,15 @@ class ExperimentConfig:
         if any(n & (n - 1) for n in points.get(config.estimator, [])):
             raise ConfigError(f"{config.estimator} needs powers of 2 as points per "
                               f"shift, got {points[config.estimator]}")
+        study = config.study
+        if study.mode == "two_grid" and (study.coarse_exponent > min(study.exponents)
+                                         or study.coarse_s > config.s):
+            raise ConfigError(
+                f"two_grid study needs 'study.coarse_exponent' <= min('study.exponents') "
+                f"and 'study.coarse_s' <= 's', got {study.coarse_exponent}, "
+                f"{study.exponents}, {study.coarse_s} and {config.s}")
+        if config.estimator in ("qmc", "mlqmc"):
+            config.vector()
         return config
 
     @classmethod
@@ -205,10 +214,14 @@ class ExperimentConfig:
         return make_problem(self.problem_name, **self.problem_params)
 
     def vector(self):
-        if self.generating_vector:
-            return load_generating_vector(self.generating_vector,
-                                          min_dimension=self.s)
-        return default_generating_vector(min_dimension=self.s)
+        """The lattice generating vector; ConfigError if it cannot serve s."""
+        try:
+            if self.generating_vector:
+                return load_generating_vector(self.generating_vector,
+                                              min_dimension=self.s)
+            return default_generating_vector(min_dimension=self.s)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"'generating_vector': {exc}") from None
 
 
 def _atomic_write(path: Path, text: str) -> None:

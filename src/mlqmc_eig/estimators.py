@@ -147,11 +147,17 @@ def _priced(stats: SolveStats, mesh: TriMesh, s: int) -> SolveStats:
 
     Work is counted in units of the matrix dimension: one per linear
     solve, ``_FACTOR_WORK`` per factorization, plus s terms per element
-    for assembling the truncated coefficient.  Every term is an integer,
-    so sums of work units are exact in any order.
+    for assembling the truncated coefficient.  Each fine solve of a
+    two-grid update is charged at least one factorization: a MINRES
+    solve factors nothing and is charged the factorization it replaces,
+    so work units do not depend on which solver ran.  Whether this
+    model fits the measured costs is the ROADMAP's open "Work model"
+    item.  Every term is an integer, so sums of work units are exact in
+    any order.
     """
+    factorizations = max(stats.factorizations, stats.fine_linear_solves)
     stats.work_units = (mesh.n_interior
-                        * (stats.linear_solves + _FACTOR_WORK * stats.factorizations)
+                        * (stats.linear_solves + _FACTOR_WORK * factorizations)
                         + s * mesh.n_elements)
     return stats
 
@@ -258,6 +264,7 @@ class LevelReport:
     factorizations: int
     rq_iterations_median: float
     work_units: float
+    krylov_iterations: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -269,7 +276,7 @@ class LevelReport:
 
 CSV_LEVEL_COLUMNS = [
     "level", "h", "s", "H", "S", "N", "R",
-    "Q_hat", "V", "cost_seconds", "solves", "rq_iters_median",
+    "Q_hat", "V", "cost_seconds", "solves", "rq_iters_median", "krylov_iters",
 ]
 
 
@@ -311,7 +318,7 @@ class MlqmcReport:
                 lv.ell, repr(lv.h), lv.s, repr(lv.coarse_h), lv.coarse_s,
                 lv.n_points, lv.n_shifts, repr(lv.q_hat), repr(lv.variance),
                 repr(lv.cost_seconds), lv.linear_solves,
-                repr(lv.rq_iterations_median),
+                repr(lv.rq_iterations_median), lv.krylov_iterations,
             ])
         return rows
 
@@ -364,6 +371,7 @@ def _level_report(level: LevelParams, streams: list, iid: bool) -> LevelReport:
         factorizations=total.factorizations,
         rq_iterations_median=float(np.median([st.rq_iterations for st in samples])),
         work_units=total.work_units,
+        krylov_iterations=total.krylov_iterations,
     )
 
 

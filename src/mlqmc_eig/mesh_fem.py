@@ -15,6 +15,11 @@ truncation), with a single mat-vec per sample, so the per-sample cost
 scales like s * h^-2.  Tables larger than ``_TABLE_MAX_FLOATS`` are not
 kept; the coefficient is then evaluated term by term on every call
 (``CoefficientSeries.a_values``), which skips the zero entries of y.
+
+Transfer between nested meshes is one matrix per (coarse, fine) pair,
+``prolongation``, built once from the interpolation stencil: on the
+nodes for ``prolongate`` of nodal vectors, on the interior DOFs for the
+two-grid start vector and the multigrid hierarchy of ``eigensolver``.
 """
 
 from __future__ import annotations
@@ -242,23 +247,26 @@ def mass_interior(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
     return mat
 
 
-def prolongate(u_coarse: np.ndarray, coarse: TriMesh, fine: TriMesh) -> np.ndarray:
-    """Evaluate the coarse piecewise-linear function at the fine nodes.
+@lru_cache(maxsize=None)
+def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matrix:
+    """Matrix that evaluates coarse piecewise-linear functions at the fine nodes.
 
     Both meshes must belong to the uniform family with the coarse
     intervals dividing the fine ones; the interpolation respects the
-    diagonal split, so coarse functions are reproduced exactly.
+    diagonal split, so coarse functions are reproduced exactly.  A fine
+    node at local coordinates (xi, eta) of a coarse cell takes the
+    weights 1-xi, xi-eta, eta of (v00, v10, v11) in the lower triangle
+    (xi >= eta) and 1-eta, eta-xi, xi of (v00, v01, v11) in the upper
+    one.  Columns ascend in every row, so a mat-vec sums the vertex
+    values in that order.  With ``interior`` the matrix maps interior
+    DOFs to interior DOFs (zero boundary values), else nodes to nodes.
+    Zero weights are not stored; the matrix is cached and read-only.
     """
-    u_coarse = np.asarray(u_coarse, dtype=float)
-    if u_coarse.shape != (coarse.n_nodes,):
-        raise ValueError("coarse vector has wrong length")
     if fine.n_per_side % coarse.n_per_side:
         raise ValueError(
             f"meshes are not nested: {coarse.n_per_side} does not divide "
             f"{fine.n_per_side}"
         )
-    if fine.n_per_side == coarse.n_per_side:
-        return u_coarse.copy()
     ratio = fine.n_per_side // coarse.n_per_side
     nf, nc = fine.n_per_side, coarse.n_per_side
 
@@ -267,13 +275,36 @@ def prolongate(u_coarse: np.ndarray, coarse: TriMesh, fine: TriMesh) -> np.ndarr
     frac = idx / ratio - cell
     cell_c, cell_r = np.meshgrid(cell, cell)          # column/row cell index
     xi, eta = np.meshgrid(frac, frac)                 # local coords in the cell
-
-    v00 = u_coarse[(cell_r * (nc + 1) + cell_c).ravel()]
-    v10 = u_coarse[(cell_r * (nc + 1) + cell_c + 1).ravel()]
-    v01 = u_coarse[((cell_r + 1) * (nc + 1) + cell_c).ravel()]
-    v11 = u_coarse[((cell_r + 1) * (nc + 1) + cell_c + 1).ravel()]
     xi, eta = xi.ravel(), eta.ravel()
+    v00 = (cell_r * (nc + 1) + cell_c).ravel()
+    lower = xi >= eta
 
-    lower = v00 * (1.0 - xi) + v10 * (xi - eta) + v11 * eta
-    upper = v00 * (1.0 - eta) + v01 * (eta - xi) + v11 * xi
-    return np.where(xi >= eta, lower, upper)
+    cols = np.column_stack([v00, np.where(lower, v00 + 1, v00 + nc + 1), v00 + nc + 2])
+    weights = np.column_stack([np.where(lower, 1.0 - xi, 1.0 - eta),
+                               np.where(lower, xi - eta, eta - xi),
+                               np.where(lower, eta, xi)])
+    rows = np.repeat(np.arange(fine.n_nodes), 3)
+    cols, weights = cols.ravel(), weights.ravel()
+    shape = (fine.n_nodes, coarse.n_nodes)
+    if interior:
+        rows, cols = fine.interior_index[rows], coarse.interior_index[cols]
+        shape = (fine.n_interior, coarse.n_interior)
+    keep = (weights != 0.0) & (rows >= 0) & (cols >= 0)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=shape[0]))))
+    mat = sp.csr_matrix((weights[keep], cols[keep], indptr), shape=shape)
+    mat.data.setflags(write=False)
+    return mat
+
+
+def prolongate(u_coarse: np.ndarray, coarse: TriMesh, fine: TriMesh) -> np.ndarray:
+    """The coarse piecewise-linear function at the fine nodes: ``P @ u``.
+
+    ``u_coarse`` holds either the values at every coarse node or those
+    at the interior DOFs (zero boundary values); the result is the same
+    kind of vector on the fine mesh (see ``prolongation``).
+    """
+    u_coarse = np.asarray(u_coarse, dtype=float)
+    if u_coarse.shape not in ((coarse.n_nodes,), (coarse.n_interior,)):
+        raise ValueError("coarse vector has wrong length")
+    interior = u_coarse.size == coarse.n_interior
+    return prolongation(coarse, fine, interior) @ u_coarse

@@ -16,7 +16,9 @@ pattern.  For a pair on the k x k interior grid the ordering is a
 geometric nested dissection (George 1973); for any other pattern it is
 the identity.  Each factorization is then one subtraction of value
 arrays, one gather and one SuperLU call that keeps the given column
-order (``permc_spec="NATURAL"``).
+order (``permc_spec="NATURAL"``).  Where the two-grid update solves
+iteratively instead (see ``eigensolver``), ``shifted_operator`` forms
+A - sigma*M by the same subtraction, as a CSR matrix on the pattern.
 """
 
 from __future__ import annotations
@@ -132,12 +134,19 @@ def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
 
 
 def _on_one_pattern(A: sp.spmatrix, M: sp.spmatrix):
-    """(ordering, a, m): the shared CSR pattern's ordering and the values."""
+    """A and M as CSR matrices; ValueError unless they share one canonical pattern."""
     A, M = A.tocsr(), M.tocsr()
     if not (A.has_canonical_format and M.has_canonical_format
             and _same_array(A.indptr, M.indptr) and _same_array(A.indices, M.indices)):
         raise ValueError("A and M must share one canonical CSR pattern")
-    return _cached_ordering(A.indptr, A.indices), A.data, M.data
+    return A, M
+
+
+def shifted_operator(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> sp.csr_matrix:
+    """A - sigma*M as one subtraction of the values on the pair's shared CSR pattern."""
+    A, M = _on_one_pattern(A, M)
+    return sp.csr_matrix((A.data - float(sigma) * M.data, A.indices, A.indptr),
+                         shape=A.shape)
 
 
 class FactorizedOperator:
@@ -151,9 +160,10 @@ class FactorizedOperator:
             raise ValueError("A and M must be square matrices of equal size")
         self.sigma = float(sigma)
         self.n = A.shape[0]
-        self.ordering, a, m = _on_one_pattern(A, M)
+        A, M = _on_one_pattern(A, M)
+        self.ordering = _cached_ordering(A.indptr, A.indices)
         shifted = sp.csc_matrix(
-            ((a - self.sigma * m)[self.ordering.gather],
+            ((A.data - self.sigma * M.data)[self.ordering.gather],
              self.ordering.indices, self.ordering.indptr),
             shape=A.shape)
         try:

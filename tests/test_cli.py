@@ -46,6 +46,14 @@ MALFORMED = [
     pytest.param({"max_level": 0}, "max_level", id="zero-level-cap"),
     pytest.param({"options": {"shared_shifts": False}}, "shared_shifts",
                  id="removed-option"),
+    pytest.param({"study": {"mode": "two_grid", "exponents": [3, 4, 5],
+                            "coarse_exponent": 4}}, "coarse_exponent",
+                 id="two-grid-study-coarse-finer"),
+    pytest.param({"study": {"mode": "two_grid", "coarse_s": 65}}, "coarse_s",
+                 id="two-grid-study-coarse-s-above-s"),
+    pytest.param({"s": 300}, "need at least 300", id="vector-too-short"),
+    pytest.param({"generating_vector": "missing.txt"}, "missing.txt",
+                 id="vector-missing"),
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from mlqmc_eig import (
     CoefficientSeries,
+    NoConvergenceError,
     build_uniform_mesh,
     mass_interior,
     m_inner,
@@ -17,7 +18,8 @@ from mlqmc_eig import (
     two_grid_eigenpair,
     warm_start_from,
 )
-from mlqmc_eig.eigensolver import _gap_estimate
+from mlqmc_eig import eigensolver
+from mlqmc_eig.eigensolver import _gap_estimate, two_grid_fine_update
 
 TOL = 5e-8
 
@@ -199,6 +201,46 @@ class TestTwoGrid:
             two_grid_eigenpair(prob1, np.zeros(8), (m4, 8), (m3, 8))
         with pytest.raises(ValueError):
             two_grid_eigenpair(prob1, np.zeros(16), (m3, 16), (m4, 8))
+
+
+def coarse_pair_at(problem, y, m=3, s=8):
+    mesh = build_uniform_mesh(m)
+    pair, _ = smallest_eigenpair_cold(stiffness_interior(mesh, problem, y[:s]),
+                                      mass_interior(mesh, problem), TOL)
+    return mesh, pair
+
+
+class TestMultigridUpdate:
+    @pytest.mark.parametrize("name", ["prob1", "prob2"])
+    def test_matches_direct_update_at_m7(self, name, rng, monkeypatch, request):
+        problem = request.getfixturevalue(name)
+        y = rng.random(16) - 0.5
+        coarse, pair = coarse_pair_at(problem, y)
+        fine = build_uniform_mesh(7)
+        lam_mg, u_mg, st_mg = two_grid_fine_update(problem, y, coarse, pair, fine, 16)
+        monkeypatch.setattr(eigensolver, "_KRYLOV_MIN_DOFS", fine.n_interior + 1)
+        lam_lu, u_lu, st_lu = two_grid_fine_update(problem, y, coarse, pair, fine, 16)
+        assert abs(lam_mg - lam_lu) <= 1e-12 * lam_lu
+        assert np.abs(u_mg - u_lu).max() <= 1e-8 * np.abs(u_lu).max()
+        assert (st_mg.factorizations, st_mg.linear_solves, st_mg.fine_linear_solves) \
+            == (0, 1, 1)
+        assert 0 < st_mg.krylov_iterations <= eigensolver._MINRES_MAX_ITER
+        assert (st_lu.factorizations, st_lu.krylov_iterations) == (1, 0)
+
+    def test_vcycle_is_symmetric_positive_definite(self, prob2):
+        mesh = build_uniform_mesh(5)
+        vcycle = eigensolver._VCycle(mesh, prob2)
+        B = np.column_stack([vcycle.apply(e) for e in np.eye(mesh.n_interior)])
+        assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+        assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
+
+    def test_iteration_cap_raises(self, prob1, rng, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_KRYLOV_MIN_DOFS", 0)
+        monkeypatch.setattr(eigensolver, "_MINRES_MAX_ITER", 1)
+        y = rng.random(16) - 0.5
+        coarse, pair = coarse_pair_at(prob1, y)
+        with pytest.raises(NoConvergenceError, match="MINRES .* 1 iterations"):
+            two_grid_fine_update(prob1, y, coarse, pair, build_uniform_mesh(5), 16)
 
 
 class TestWarmStart:

@@ -168,7 +168,7 @@ class TestMlqmcEstimate:
         rep = mlqmc_estimate(prob1, default_levels([16, 8]), 2, zvec, seed=6)
         rows = rep.level_csv_rows()
         assert rows[0] == ["level", "h", "s", "H", "S", "N", "R", "Q_hat", "V",
-                           "cost_seconds", "solves", "rq_iters_median"]
+                           "cost_seconds", "solves", "rq_iters_median", "krylov_iters"]
         assert len(rows) == 3
 
     def test_failed_sample_aborts(self, zvec):

@@ -316,7 +316,41 @@ class TestAssembly:
         assert lams[0] >= lams[1] >= lams[2]
 
 
+def stencil_prolongate(u_coarse, coarse, fine):
+    """The coarse function at the fine nodes by the stencil formula that
+    ``prolongate`` evaluated before it became a matrix."""
+    ratio = fine.n_per_side // coarse.n_per_side
+    nf, nc = fine.n_per_side, coarse.n_per_side
+    idx = np.arange(nf + 1)
+    cell = np.minimum(idx // ratio, nc - 1)
+    frac = idx / ratio - cell
+    cell_c, cell_r = np.meshgrid(cell, cell)
+    xi, eta = np.meshgrid(frac, frac)
+    v00 = u_coarse[(cell_r * (nc + 1) + cell_c).ravel()]
+    v10 = u_coarse[(cell_r * (nc + 1) + cell_c + 1).ravel()]
+    v01 = u_coarse[((cell_r + 1) * (nc + 1) + cell_c).ravel()]
+    v11 = u_coarse[((cell_r + 1) * (nc + 1) + cell_c + 1).ravel()]
+    xi, eta = xi.ravel(), eta.ravel()
+    lower = v00 * (1.0 - xi) + v10 * (xi - eta) + v11 * eta
+    upper = v00 * (1.0 - eta) + v01 * (eta - xi) + v11 * xi
+    return np.where(xi >= eta, lower, upper)
+
+
 class TestProlongate:
+    @pytest.mark.parametrize("mc, mf", [(mc, mf) for mc in (1, 2, 3)
+                                        for mf in range(mc, min(mc + 6, 7) + 1)])
+    def test_matrix_matches_stencil_formula_bitwise(self, mc, mf):
+        coarse, fine = build_uniform_mesh(mc), build_uniform_mesh(mf)
+        rng = np.random.default_rng(8 * mc + mf)
+        for _ in range(20):
+            u = rng.standard_normal(coarse.n_nodes)
+            assert prolongate(u, coarse, fine).tobytes() == \
+                stencil_prolongate(u, coarse, fine).tobytes()
+            u_int = rng.standard_normal(coarse.n_interior)
+            assert prolongate(u_int, coarse, fine).tobytes() == \
+                fine.restrict_vec(stencil_prolongate(coarse.embed(u_int), coarse,
+                                                     fine)).tobytes()
+
     def test_constant_preserved(self):
         coarse, fine = build_uniform_mesh(2), build_uniform_mesh(4)
         out = prolongate(np.full(coarse.n_nodes, 3.7), coarse, fine)
