@@ -372,7 +372,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
     # reference: analytic 2 pi^2 a0 for problem 1, whose coefficient at
     # y = 0 is the constant a0; Richardson extrapolation at rate 2 otherwise
     if config.problem_name == "problem1":
-        reference = 2.0 * math.pi ** 2 * float(problem.a0(np.zeros(2)))
+        reference = 2.0 * math.pi ** 2 * float(problem.a0((0.0, 0.0)))
     else:
         reference = lams[-1] + (lams[-1] - lams[-2]) / 3.0
 

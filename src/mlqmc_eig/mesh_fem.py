@@ -4,17 +4,23 @@ Each mesh halves the unit square into ``n = 2^m`` intervals per side and
 splits every cell along the bottom-left to top-right diagonal, so meshes
 are nested and island boundaries at multiples of 1/8 stay mesh-aligned.
 Element integrals use the 3-point edge-midpoint rule (exact for
-quadratic integrands).
+quadratic integrands).  On a uniform mesh the quadrature nodes form six
+tensor grids, one per node of a cell: node q of cell (r, c) sits at
+((c + xi_q) h, (r + eta_q) h).  Coefficients are evaluated on those
+grids, as pairs ``(x1, x2)`` of a row and a column of coordinates (see
+``problems``), so a term f(x1) g(x2) costs O(n) sines and O(n^2)
+products on a mesh with n cells per side.
 
 Assembly is interior-only: the stiffness and mass matrices live on the
 interior DOFs (homogeneous Dirichlet boundary), and both are built on
 one CSR pattern per mesh, so every shifted operator of that mesh shares
 it (see ``sparse_linalg``).  The stiffness matrix for a parameter ``y``
 combines per-term coefficient tables, evaluated once per (mesh, problem,
-truncation), with a single mat-vec per sample, so the per-sample cost
-scales like s * h^-2.  Tables larger than ``_TABLE_MAX_FLOATS`` are not
-kept; the coefficient is then evaluated term by term on every call
-(``CoefficientSeries.a_values``), which skips the zero entries of y.
+truncation) at O(s n) sines, with a single mat-vec per sample, so the
+per-sample cost scales like s * h^-2.  Tables larger than
+``_TABLE_MAX_FLOATS`` are not kept; the coefficient is then evaluated
+term by term on the grids on every call (``CoefficientSeries.a_values``),
+which skips the zero entries of y.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
 ``prolongation``, built once from the interpolation stencil: on the
@@ -24,7 +30,7 @@ two-grid start vector and the multigrid hierarchy of ``eigensolver``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +44,11 @@ _PHI = np.array([
     [0.5, 0.0, 0.5],
 ])
 _PHI_OUTER = np.einsum("qi,qj->qij", _PHI, _PHI)
+
+# (column, row) offsets of the vertices of the lower (v00, v10, v11) and
+# the upper (v00, v11, v01) triangle of a cell, in ``TriMesh`` order
+_VERTICES = np.array([[[0, 0], [1, 0], [1, 1]],
+                      [[0, 0], [1, 1], [0, 1]]])
 
 # h^2 grad(phi_i).grad(phi_j) on the lower (v00, v10, v11) and the upper
 # (v00, v11, v01) triangle of a cell; every mesh has only these two
@@ -131,14 +142,25 @@ def build_uniform_mesh(level_exponent: int) -> TriMesh:
 
 
 class _Geometry:
-    """Per-mesh quadrature geometry and the interior sparsity pattern."""
+    """Per-mesh quadrature geometry and the interior sparsity pattern.
+
+    ``quad_x1[k, c]`` and ``quad_x2[k, r]`` are the coordinates of the
+    quadrature node k = 3 t + q (triangle t, node q of ``_PHI``) of cell
+    (r, c): the midpoint of the edge from vertex q to vertex q + 1,
+    computed as 0.5 * (p_q + p_{q+1}) from the node coordinates.
+    """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        p = mesh.element_coords()                       # (nel, 3, 2)
+        n = mesh.n_per_side
         self.area = mesh.h * mesh.h / 2.0
         self.stencils = _STENCILS / (mesh.h * mesh.h)   # exact: h^2 = 4^-m
-        self.quad_points = 0.5 * (p + np.roll(p, -1, axis=1))  # (nel, 3, 2)
+        line = np.arange(n + 1) * mesh.h                # node coordinates
+        cells = np.arange(n)
+        start = _VERTICES.reshape(6, 2)                 # vertex q of node 3t + q
+        end = np.roll(_VERTICES, -1, axis=1).reshape(6, 2)  # vertex q + 1
+        self.quad_x1 = 0.5 * (line[cells + start[:, :1]] + line[cells + end[:, :1]])
+        self.quad_x2 = 0.5 * (line[cells + start[:, 1:]] + line[cells + end[:, 1:]])
 
         # interior CSR pattern; the local entry keep[k] of the 9*nel lands
         # in slot slots[k] of the data array
@@ -153,6 +175,21 @@ class _Geometry:
         indptr = np.zeros(dim + 1, dtype=np.int32)
         np.add.at(indptr, (unique_keys // dim) + 1, 1)
         self.indptr = np.cumsum(indptr, dtype=np.int32)
+
+    def evaluate(self, fn, out: np.ndarray | None = None) -> np.ndarray:
+        """``fn((x1, x2))`` at every quadrature node, flat in element order.
+
+        ``fn`` is called once, on the six node grids stacked on a leading
+        axis (x1 of shape (6, 1, n), x2 of shape (6, n, 1)); its values
+        are moved into (cell row, cell column, node) order, written into
+        ``out`` when given.
+        """
+        n = self.mesh.n_per_side
+        vals = fn((self.quad_x1[:, None, :], self.quad_x2[:, :, None]))
+        if out is None:
+            out = np.empty(6 * n * n)
+        out.reshape(n, n, 6)[...] = np.moveaxis(vals, 0, -1)
+        return out
 
     def assemble(self, cell_scalars: np.ndarray | None,
                  quad_scalars: np.ndarray | None) -> sp.csr_matrix:
@@ -178,33 +215,41 @@ class _CoefficientTables:
     """Values of every coefficient term at the quadrature nodes.
 
     Per-term tables are kept when ``s`` of them fit in
-    ``_TABLE_MAX_FLOATS``; the coefficient at y is then one mat-vec.
+    ``_TABLE_MAX_FLOATS``; each row is filled in place by one call of
+    the term on the node grids, and the coefficient at y is one mat-vec.
     Otherwise it is evaluated term by term on every call.
     """
 
     def __init__(self, mesh: TriMesh, problem: CoefficientSeries, s: int):
-        pts = _geometry(mesh).quad_points.reshape(-1, 2)
+        geo = _geometry(mesh)
+        n_quad = 3 * mesh.n_elements
         self.problem = problem
-        self._pts = pts
+        self._geo = geo
         self.aj = None
         self.bj = None
-        if 0 < s and s * pts.shape[0] <= _TABLE_MAX_FLOATS:
-            self.a0 = np.asarray(problem.a0(pts), dtype=float)
-            self.aj = np.stack([problem.a_term(j, pts) for j in range(1, s + 1)])
+        if 0 < s and s * n_quad <= _TABLE_MAX_FLOATS:
+            self.a0 = geo.evaluate(problem.a0)
+            self.aj = self._terms(problem.a_term, s, n_quad)
             if problem.has_b:
-                self.b0 = np.asarray(problem.b0(pts), dtype=float)
-                self.bj = np.stack([problem.b_term(j, pts) for j in range(1, s + 1)])
+                self.b0 = geo.evaluate(problem.b0)
+                self.bj = self._terms(problem.b_term, s, n_quad)
+
+    def _terms(self, term, s: int, n_quad: int) -> np.ndarray:
+        table = np.empty((s, n_quad))
+        for j in range(1, s + 1):
+            self._geo.evaluate(partial(term, j), out=table[j - 1])
+        return table
 
     def a_at_quad(self, y: np.ndarray) -> np.ndarray:
         if self.aj is None:
-            return self.problem.a_values(self._pts, y)
+            return self._geo.evaluate(partial(self.problem.a_values, y=y))
         return self.a0 + y @ self.aj
 
     def b_at_quad(self, y: np.ndarray) -> np.ndarray | None:
         if not self.problem.has_b:
             return None
         if self.bj is None:
-            return self.problem.b_values(self._pts, y)
+            return self._geo.evaluate(partial(self.problem.b_values, y=y))
         return self.b0 + y @ self.bj
 
 
@@ -237,7 +282,7 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
 def mass_interior(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
     """Mass matrix of the weight c on the interior DOFs; cached per mesh."""
     geo = _geometry(mesh)
-    c = np.asarray(problem.c(geo.quad_points.reshape(-1, 2)), dtype=float)
+    c = geo.evaluate(problem.c)
     if np.any(c <= 0.0):
         raise CoefficientBoundError(
             f"{problem.name}: c(x) <= 0 at a quadrature node"

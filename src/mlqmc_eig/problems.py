@@ -6,7 +6,11 @@ A coefficient series describes
 
 with y_j in [-1/2, 1/2], plus a fixed weight c(x) for the right-hand
 bilinear form.  Evaluation is vectorised over points: every callable
-accepts an (..., 2) array of coordinates and returns an (...,) array.
+takes x as one pair ``(x1, x2)`` of coordinate arrays that broadcast
+against each other and returns an array of their broadcast shape.  On a
+tensor grid (x1 a row, x2 a column) every bundled term a_j = f(x1) g(x2)
+thus costs O(n) sines for n^2 points; the assembly in ``mesh_fem``
+evaluates each term once per table this way.
 """
 
 from __future__ import annotations
@@ -17,8 +21,19 @@ from typing import Callable
 
 import numpy as np
 
-Coefficient = Callable[[np.ndarray], np.ndarray]
-TermFamily = Callable[[int, np.ndarray], np.ndarray]
+Point = tuple[np.ndarray, np.ndarray]
+Coefficient = Callable[[Point], np.ndarray]
+TermFamily = Callable[[int, Point], np.ndarray]
+
+
+def _coords(x: Point) -> tuple[np.ndarray, np.ndarray]:
+    x1, x2 = x
+    return np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+
+
+def _shape(x: Point) -> tuple[int, ...]:
+    """Broadcast shape of the pair ``x``."""
+    return np.broadcast_shapes(*(np.shape(xi) for xi in x))
 
 
 def zeta(p: float, tol: float = 1e-10) -> float:
@@ -62,19 +77,17 @@ class CoefficientSeries:
     def has_b(self) -> bool:
         return self.b0 is not None or self.b_term is not None
 
-    def a_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def a_values(self, x: Point, y: np.ndarray) -> np.ndarray:
         """Truncated a(x, y) with truncation dimension len(y)."""
-        x = np.asarray(x, dtype=float)
         out = np.asarray(self.a0(x), dtype=float).copy()
         for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
             if yj != 0.0:
                 out += yj * self.a_term(j, x)
         return out
 
-    def b_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def b_values(self, x: Point, y: np.ndarray) -> np.ndarray:
         if not self.has_b:
-            return np.zeros(x.shape[:-1])
+            return np.zeros(_shape(x))
         out = np.asarray(self.b0(x), dtype=float).copy()
         if self.b_term is not None:
             for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
@@ -99,18 +112,16 @@ def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
         raise ValueError(f"decay {p_tilde} gives a_min = {a_min} <= 0")
 
     def a0(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], a0_val)
+        return np.full(_shape(x), a0_val)
 
     def a_term(j, x):
-        x = np.asarray(x, dtype=float)
-        return j ** (-p_tilde) * np.sin(j * np.pi * x[..., 0]) * np.sin(
-            (j + 1) * np.pi * x[..., 1]
+        x1, x2 = _coords(x)
+        return j ** (-p_tilde) * np.sin(j * np.pi * x1) * np.sin(
+            (j + 1) * np.pi * x2
         )
 
     def c(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
+        return np.ones(_shape(x))
 
     return CoefficientSeries(
         name=f"problem1(p={p_tilde:g})",
@@ -135,22 +146,21 @@ _SIGMA_A, _SIGMA_A_OUT = 0.01, 0.011
 _SIGMA_B, _SIGMA_B_OUT = 2.0, 0.3
 
 
-def island_mask(x: np.ndarray) -> np.ndarray:
+def island_mask(x: Point) -> np.ndarray:
     """Closed-set membership of the four-island subdomain."""
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    mask = np.zeros(x.shape[:-1], dtype=bool)
+    x1, x2 = _coords(x)
+    mask = np.zeros(_shape(x), dtype=bool)
     for lo1, hi1, lo2, hi2 in _ISLANDS:
         mask |= (x1 >= lo1) & (x1 <= hi1) & (x2 >= lo2) & (x2 <= hi2)
     return mask
 
 
-def _island_mode(k: int, q: float, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def _island_mode(k: int, q: float, x: Point) -> np.ndarray:
+    x1, x2 = _coords(x)
     return (
         k ** (-q)
-        * np.sin(8 * k * np.pi * x[..., 0])
-        * np.sin(8 * (k + 1) * np.pi * x[..., 1])
+        * np.sin(8 * k * np.pi * x1)
+        * np.sin(8 * (k + 1) * np.pi * x2)
     )
 
 
@@ -214,8 +224,7 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
         return np.where(island_mask(x), 0.0, vals)
 
     def c(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
+        return np.ones(_shape(x))
 
     return CoefficientSeries(
         name=f"problem2(pa={p_a:g},pa'={p_a_out:g},pb={p_b:g},pb'={p_b_out:g})",

@@ -9,10 +9,14 @@ from mlqmc_eig import (
     CoefficientSeries,
     NoConvergenceError,
     build_uniform_mesh,
+    lattice_point,
     mass_interior,
     m_inner,
+    problem1,
+    problem2,
     rayleigh_quotient,
     rq_iteration,
+    shift_and_center,
     smallest_eigenpair_cold,
     stiffness_interior,
     two_grid_eigenpair,
@@ -27,9 +31,9 @@ TOL = 5e-8
 def unit_series():
     return CoefficientSeries(
         name="unit",
-        a0=lambda x: np.ones(np.asarray(x).shape[:-1]),
-        a_term=lambda j, x: np.zeros(np.asarray(x).shape[:-1]),
-        c=lambda x: np.ones(np.asarray(x).shape[:-1]),
+        a0=lambda x: np.ones(np.broadcast(*x).shape),
+        a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
+        c=lambda x: np.ones(np.broadcast(*x).shape),
         a_min=1.0,
         a_max=1.0,
     )
@@ -276,6 +280,23 @@ class TestWarmStart:
         pair, _ = smallest_eigenpair_cold(A3, M3, TOL)
         with pytest.raises(ValueError):
             warm_start_from(pair, A4, M3)
+
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
+                             ids=["p1", "p1-slow-decay", "p2"])
+    def test_lattice_stream_warm_equals_cold(self, problem, zvec):
+        # one shifted 16-point lattice stream at h = 1/8, s = 64, visited in
+        # order with each sample warm-started from the previous one, as
+        # the estimators do; every warm eigenvalue is the cold one
+        mesh = build_uniform_mesh(3)
+        M = mass_interior(mesh, problem)
+        shift = np.random.default_rng(3).random(64)
+        warm = None
+        for k in range(16):
+            y = shift_and_center(lattice_point(zvec, 16, k, dim=64), shift)
+            A = stiffness_interior(mesh, problem, y)
+            cold, _ = eigensolver.smallest_eigenpair(A, M, TOL)
+            warm, _ = eigensolver.smallest_eigenpair(A, M, TOL, warm=warm)
+            assert abs(warm.lam - cold.lam) <= 1e-12 * cold.lam
 
     def test_warm_equals_cold_eigenvalue(self, prob1, rng):
         mesh = build_uniform_mesh(3)

@@ -174,10 +174,10 @@ class TestMlqmcEstimate:
     def test_failed_sample_aborts(self, zvec):
         fragile = CoefficientSeries(
             name="fragile",
-            a0=lambda x: np.full(np.asarray(x).shape[:-1], 0.4),
-            a_term=lambda j, x: np.ones(np.asarray(x).shape[:-1]) if j == 1
-            else np.zeros(np.asarray(x).shape[:-1]),
-            c=lambda x: np.ones(np.asarray(x).shape[:-1]),
+            a0=lambda x: np.full(np.broadcast(*x).shape, 0.4),
+            a_term=lambda j, x: np.ones(np.broadcast(*x).shape) if j == 1
+            else np.zeros(np.broadcast(*x).shape),
+            c=lambda x: np.ones(np.broadcast(*x).shape),
             a_min=-0.1,    # deliberately violated for some y
             a_max=0.9,
         )

@@ -8,6 +8,8 @@ from mlqmc_eig import (
     CoefficientSeries,
     build_uniform_mesh,
     mass_interior,
+    problem1,
+    problem2,
     prolongate,
     stiffness_interior,
 )
@@ -17,16 +19,16 @@ from mlqmc_eig.mesh_fem import CoefficientBoundError
 
 def constant_series(a0=1.0, c=1.0, b0=None):
     def const(v):
-        return lambda x: np.full(np.asarray(x).shape[:-1], v)
+        return lambda x: np.full(np.broadcast(*x).shape, v)
     return CoefficientSeries(
         name=f"const(a={a0},c={c},b={b0})",
         a0=const(a0),
-        a_term=lambda j, x: np.zeros(np.asarray(x).shape[:-1]),
+        a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
         c=const(c),
         a_min=min(a0, c),
         a_max=max(a0, c),
         b0=None if b0 is None else const(b0),
-        b_term=None if b0 is None else (lambda j, x: np.zeros(np.asarray(x).shape[:-1])),
+        b_term=None if b0 is None else (lambda j, x: np.zeros(np.broadcast(*x).shape)),
     )
 
 
@@ -88,6 +90,46 @@ def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
     vals = vals + np.einsum("eq,qij->eij", w, mesh_fem._PHI_OUTER)
     return np.bincount(geo.slots, weights=vals.ravel()[geo.keep],
                        minlength=geo.indices.size)
+
+
+def pointwise_quad_points(mesh):
+    """The quadrature nodes of every element, (nel, 3, 2), computed from
+    the element coordinates as the point-wise assembly held them."""
+    p = mesh.element_coords()
+    return 0.5 * (p + np.roll(p, -1, axis=1))
+
+
+def pointwise_coefficients(mesh, problem, y):
+    """Tables and a, b at the quadrature nodes by the point-wise build
+    that the grid evaluation replaced: each term called once on the flat
+    node list and the rows ``np.stack``-ed; term by term when s = 0."""
+    pts = pointwise_quad_points(mesh).reshape(-1, 2)
+    x = (pts[:, 0], pts[:, 1])
+    ref = {"b": None}
+    if y.size == 0:
+        ref["a"] = problem.a_values(x, y)
+        if problem.has_b:
+            ref["b"] = problem.b_values(x, y)
+        return ref
+    ref["a0"] = np.asarray(problem.a0(x), dtype=float)
+    ref["aj"] = np.stack([problem.a_term(j, x) for j in range(1, y.size + 1)])
+    ref["a"] = ref["a0"] + y @ ref["aj"]
+    if problem.has_b:
+        ref["b0"] = np.asarray(problem.b0(x), dtype=float)
+        ref["bj"] = np.stack([problem.b_term(j, x) for j in range(1, y.size + 1)])
+        ref["b"] = ref["b0"] + y @ ref["bj"]
+    return ref
+
+
+def pointwise_stiffness(mesh, a_quad, b_quad):
+    """Stiffness CSR data from coefficient values at the quadrature nodes."""
+    geo = mesh_fem._geometry(mesh)
+    cell = (geo.area / 3.0) * a_quad.reshape(-1, 3).sum(axis=1)
+    return geo.assemble(cell, b_quad).data
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def interior_block(mesh, matrix):
@@ -254,26 +296,40 @@ class TestAssembly:
 
     def test_uncached_coefficients_match_tables(self, prob1, prob2, rng, monkeypatch):
         # above _TABLE_MAX_FLOATS the coefficient is evaluated term by term
+        # on the node grids: within roundoff of the table mat-vec, and
+        # bitwise the point-wise a_values and b_values
         mesh = build_uniform_mesh(4)
+        pts = pointwise_quad_points(mesh).reshape(-1, 2)
+        x = (pts[:, 0], pts[:, 1])
         for problem in (prob1, prob2):
             y = rng.random(16) - 0.5
             cached = stiffness_interior(mesh, problem, y).toarray()
             monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 0)
             mesh_fem._tables.cache_clear()
             try:
-                assert mesh_fem._tables(mesh, problem, y.size).aj is None
-                uncached = stiffness_interior(mesh, problem, y).toarray()
+                tab = mesh_fem._tables(mesh, problem, y.size)
+                assert tab.aj is None
+                uncached = stiffness_interior(mesh, problem, y)
+                a_quad, b_quad = tab.a_at_quad(y), tab.b_at_quad(y)
             finally:
                 monkeypatch.undo()
                 mesh_fem._tables.cache_clear()
-            assert np.abs(uncached - cached).max() <= 1e-13 * np.abs(cached).max()
+            assert np.abs(uncached.toarray() - cached).max() <= 1e-13 * np.abs(cached).max()
+            a_ref = problem.a_values(x, y)
+            b_ref = problem.b_values(x, y) if problem.has_b else None
+            assert np.array_equal(bits(a_quad), bits(a_ref))
+            assert (b_quad is None) == (b_ref is None)
+            if b_ref is not None:
+                assert np.array_equal(bits(b_quad), bits(b_ref))
+            assert np.array_equal(bits(uncached.data),
+                                  bits(pointwise_stiffness(mesh, a_ref, b_ref)))
 
     def test_signals_nonpositive_a(self):
         bad = CoefficientSeries(
             name="bad",
-            a0=lambda x: np.full(np.asarray(x).shape[:-1], 0.1),
-            a_term=lambda j, x: np.ones(np.asarray(x).shape[:-1]),
-            c=lambda x: np.ones(np.asarray(x).shape[:-1]),
+            a0=lambda x: np.full(np.broadcast(*x).shape, 0.1),
+            a_term=lambda j, x: np.ones(np.broadcast(*x).shape),
+            c=lambda x: np.ones(np.broadcast(*x).shape),
             a_min=0.1,
             a_max=1.0,
         )
@@ -283,12 +339,12 @@ class TestAssembly:
 
     def test_signals_nonpositive_c(self):
         def c(x):
-            x = np.asarray(x)
-            return x[..., 0] - 0.5   # negative on the left half
+            x1, x2 = x
+            return np.broadcast_to(x1 - 0.5, np.broadcast(x1, x2).shape)  # negative on the left half
         bad = CoefficientSeries(
             name="badc",
-            a0=lambda x: np.ones(np.asarray(x).shape[:-1]),
-            a_term=lambda j, x: np.zeros(np.asarray(x).shape[:-1]),
+            a0=lambda x: np.ones(np.broadcast(*x).shape),
+            a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
             c=c,
             a_min=1.0,
             a_max=1.0,
@@ -314,6 +370,38 @@ class TestAssembly:
             lams.append(scipy.linalg.eigh(A.toarray(), M.toarray(),
                                           eigvals_only=True)[0])
         assert lams[0] >= lams[1] >= lams[2]
+
+
+class TestGridCoefficients:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_grids_hold_the_quad_points_bitwise(self, m):
+        mesh = build_uniform_mesh(m)
+        geo = mesh_fem._geometry(mesh)
+        assert geo.quad_x1.shape == geo.quad_x2.shape == (6, mesh.n_per_side)
+        pts = pointwise_quad_points(mesh).reshape(-1, 2)
+        for d in (0, 1):
+            on_grid = geo.evaluate(lambda x: np.broadcast_arrays(*x)[d])
+            assert np.array_equal(bits(on_grid), bits(pts[:, d]))
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
+                             ids=["p1", "p1-slow-decay", "p2"])
+    def test_matches_pointwise_build_bitwise(self, problem, m):
+        mesh = build_uniform_mesh(m)
+        rng = np.random.default_rng(m)
+        for y in (rng.random(64) - 0.5, np.zeros(64), np.zeros(0), rng.random(5) - 0.5):
+            ref = pointwise_coefficients(mesh, problem, y)
+            if y.size:
+                tab = mesh_fem._tables(mesh, problem, y.size)
+                for name in ("a0", "aj", "b0", "bj") if problem.has_b else ("a0", "aj"):
+                    assert np.array_equal(bits(getattr(tab, name)), bits(ref[name])), name
+            A = stiffness_interior(mesh, problem, y)
+            assert np.array_equal(bits(A.data),
+                                  bits(pointwise_stiffness(mesh, ref["a"], ref["b"])))
+        pts = pointwise_quad_points(mesh).reshape(-1, 2)
+        c = problem.c((pts[:, 0], pts[:, 1]))
+        assert np.array_equal(bits(mass_interior(mesh, problem).data),
+                              bits(mesh_fem._geometry(mesh).assemble(None, c).data))
 
 
 def stencil_prolongate(u_coarse, coarse, fine):

@@ -45,7 +45,7 @@ class TestProblem1:
 
     def test_scaled_mean_for_slow_decay(self):
         p = problem1(4 / 3)
-        x = np.array([0.3, 0.7])
+        x = (0.3, 0.7)
         assert p.a0(x) == pytest.approx(math.pi / math.sqrt(2))
         assert p.a_min > 0
 
@@ -54,20 +54,19 @@ class TestProblem1:
         p = problem1(2.0)
         g = (np.arange(512) + 0.5) / 512
         xx, yy = np.meshgrid(g, g)
-        pts = np.stack([xx, yy], axis=-1)
-        vals = np.abs(p.a_term(3, pts))
+        vals = np.abs(p.a_term(3, (xx, yy)))
         assert vals.max() == pytest.approx(3.0 ** -2, abs=1e-3)
 
     def test_eval_at_zero_gives_mean(self):
         p = problem1(2.0)
-        x = np.array([0.37, 0.81])
+        x = (0.37, 0.81)
         assert p.a_values(x, np.zeros(16)) == pytest.approx(1.0, abs=1e-15)
         assert p.b_values(x, np.zeros(16)) == 0.0
 
     def test_eval_single_term(self):
         # y1 = 1/2 at x = (1/2, 1/2): sin(pi/2) sin(pi) = 0
         p = problem1(2.0)
-        assert p.a_values(np.array([0.5, 0.5]), [0.5]) == pytest.approx(1.0, abs=1e-15)
+        assert p.a_values((0.5, 0.5), [0.5]) == pytest.approx(1.0, abs=1e-15)
 
     def test_eval_matches_direct_formula(self):
         p = problem1(2.0)
@@ -77,7 +76,7 @@ class TestProblem1:
         for j, yj in enumerate(y, start=1):
             expected += yj * j ** -2.0 * math.sin(j * math.pi * x[0]) \
                 * math.sin((j + 1) * math.pi * x[1])
-        assert p.a_values(np.array(x), y) == pytest.approx(expected, abs=1e-14)
+        assert p.a_values(x, y) == pytest.approx(expected, abs=1e-14)
 
     def test_rejects_small_decay(self):
         with pytest.raises(ValueError):
@@ -86,13 +85,13 @@ class TestProblem1:
     def test_positivity_over_random_samples(self, rng):
         p = problem1(2.0)
         for _ in range(50):
-            x = rng.random(2)
+            x = tuple(rng.random(2))
             y = rng.random(64) - 0.5
             assert p.a_values(x, y) >= p.a_min - 1e-12
 
     def test_linearity_in_y(self, rng):
         p = problem1(2.0)
-        x = rng.random(2)
+        x = tuple(rng.random(2))
         y1 = rng.random(32) - 0.5
         y2 = rng.random(32) - 0.5
         a_mid = p.a_values(x, (y1 + y2) / 2)
@@ -102,7 +101,7 @@ class TestProblem1:
 
     def test_truncate_matches_zero_padding(self, prob1, rng):
         y = rng.random(8) - 0.5
-        x = rng.random(2)
+        x = tuple(rng.random(2))
         padded = np.concatenate([y[:3], np.zeros(5)])
         assert prob1.a_values(x, y[:3]) == pytest.approx(prob1.a_values(x, padded),
                                                          abs=1e-15)
@@ -110,16 +109,16 @@ class TestProblem1:
 
 class TestProblem2:
     def test_mean_values_on_and_off_islands(self, prob2):
-        inside = np.array([0.25, 0.25])
-        outside = np.array([0.5, 0.5])
+        inside = (0.25, 0.25)
+        outside = (0.5, 0.5)
         assert prob2.a0(inside) == pytest.approx(0.01)
         assert prob2.b0(inside) == pytest.approx(2.0)
         assert prob2.a0(outside) == pytest.approx(0.011)
         assert prob2.b0(outside) == pytest.approx(0.3)
 
     def test_term_supports(self, prob2, rng):
-        inside = np.array([[0.2, 0.3], [0.7, 0.8], [0.27, 0.71]])
-        outside = np.array([[0.5, 0.5], [0.05, 0.05], [0.45, 0.95]])
+        inside = tuple(np.array([[0.2, 0.3], [0.7, 0.8], [0.27, 0.71]]).T)
+        outside = tuple(np.array([[0.5, 0.5], [0.05, 0.05], [0.45, 0.95]]).T)
         for j in (2, 4, 6):   # even terms live off the islands
             assert np.all(prob2.a_term(j, inside) == 0)
             assert np.all(prob2.b_term(j, inside) == 0)
@@ -133,20 +132,20 @@ class TestProblem2:
         pts = []
         while len(pts) < 200:
             x = rng.random(2)
-            if not island_mask(x) and np.all((np.abs(x - 0.25) > 0.13) | (x > 0.9)):
+            if not island_mask(tuple(x)) and np.all((np.abs(x - 0.25) > 0.13) | (x > 0.9)):
                 pts.append(x)
         pts = np.array(pts)
-        assert np.all(prob.a_term(1, pts) == 0)
+        assert np.all(prob.a_term(1, tuple(pts.T)) == 0)
 
     def test_island_mask_closed(self):
-        assert island_mask(np.array([0.125, 0.125]))
-        assert island_mask(np.array([0.375, 0.25]))
-        assert not island_mask(np.array([0.5, 0.125]))
+        assert island_mask((0.125, 0.125))
+        assert island_mask((0.375, 0.25))
+        assert not island_mask((0.5, 0.125))
 
     def test_scaling_below_two(self):
         p = problem2(4 / 3, 2.0, 4 / 3, 2.0)
-        inside = np.array([0.25, 0.25])
-        outside = np.array([0.5, 0.5])
+        inside = (0.25, 0.25)
+        outside = (0.5, 0.5)
         assert p.a0(inside) == pytest.approx(0.01 * math.pi / math.sqrt(2))
         assert p.a0(outside) == pytest.approx(0.011)
         assert p.b0(inside) == pytest.approx(2.0 * math.pi / math.sqrt(2))
@@ -155,6 +154,25 @@ class TestProblem2:
     def test_rejects_small_decay(self):
         with pytest.raises(ValueError):
             problem2(1.0, 2.0, 2.0, 2.0)
+
+
+def test_terms_keep_their_operation_order(prob1, prob2, rng):
+    # assembly is pinned bitwise to these formulas, evaluated in this order
+    x1, x2 = rng.random(64), rng.random(64)
+    on_island = island_mask((x1, x2))
+    for j in (1, 2, 5):
+        assert np.array_equal(
+            prob1.a_term(j, (x1, x2)),
+            j ** -2.0 * np.sin(j * np.pi * x1) * np.sin((j + 1) * np.pi * x2))
+        k = (j + 1) // 2
+        mode = k ** -2.0 * np.sin(8 * k * np.pi * x1) * np.sin(8 * (k + 1) * np.pi * x2)
+        # odd terms on the islands, even ones off them
+        support, sigma_a, sigma_b = (on_island, 0.01, 2.0) if j % 2 else \
+            (~on_island, 0.011, 0.3)
+        assert np.array_equal(prob2.a_term(j, (x1, x2)),
+                              np.where(support, sigma_a * mode, 0.0))
+        assert np.array_equal(prob2.b_term(j, (x1, x2)),
+                              np.where(support, sigma_b * mode, 0.0))
 
 
 def test_make_problem_dispatch():
