@@ -13,7 +13,8 @@ That fine solve is direct (a SuperLU factorization) on meshes with
 fewer than ``_KRYLOV_MIN_DOFS`` interior DOFs.  On larger meshes it is
 MINRES (Paige & Saunders 1975) on the symmetric indefinite operator
 A(y) - lambda_H M, preconditioned by a multigrid V-cycle (Hackbusch
-1985) built once per (mesh, problem) on the mean-field stiffness A(0):
+1985) built once per (mesh, problem) on the mean-field stiffness A(0),
+the cached matrix that ``mesh_fem.stiffness_interior`` returns at y = 0:
 Galerkin coarse operators P^T A P down to h = 1/8 with the ratio-2
 prolongations of ``mesh_fem.prolongation``, two damped-Jacobi sweeps
 before and after each coarse correction, and a dense Cholesky
@@ -57,10 +58,11 @@ _VERIFY_ANGLE = 1e-3
 _MAX_RESTARTS = 2
 
 # two-grid fine solves on meshes with at least this many interior DOFs
-# (h = 1/128) use preconditioned MINRES.  Median update, assembly
-# included, Problem 1, s = 64, one BLAS thread, direct vs MINRES:
-# 3.3 vs 7.0 ms at h = 1/32, 10 vs 11 ms at 1/64, 74 vs 44 ms at 1/128,
-# 376 vs 196 ms at 1/256
+# (h = 1/128) use preconditioned MINRES.  Median of 25 updates, assembly
+# included, Problem 1, s = 64, random y, one BLAS thread, direct vs MINRES:
+# 2.8 vs 4.6 ms at h = 1/32, 13 vs 11 ms at 1/64, 66 vs 35 ms at 1/128,
+# 336 vs 127 ms at 1/256.  MINRES now also wins at 1/64 (by 20-30% in
+# three runs); the cutoff stays, since moving it moves the h = 1/64 outputs
 _KRYLOV_MIN_DOFS = 127 ** 2
 # a looser tolerance moves the fine eigenvalue by up to 2.4e-12 relative
 _MINRES_RTOL = 1e-12
@@ -274,8 +276,12 @@ class _VCycle:
     """Symmetric multigrid V-cycle for the mean-field stiffness of one mesh.
 
     Level k holds the operator A_k, the damped inverse diagonal
-    omega / diag(A_k) and the prolongation P_k from the next coarser
-    mesh; A_(k+1) = P_k^T A_k P_k.  ``apply`` approximates A_0^-1 r.
+    omega / diag(A_k), the prolongation P_k from the next coarser mesh
+    and the restriction R_k = P_k^T, stored as CSR (its mat-vec sums in
+    the same order as that of P_k.T); A_(k+1) = P_k^T A_k P_k.  A_0 is
+    the cached A(0) of ``stiffness_interior``, so a two-grid update at
+    y = 0 and its V-cycle share one matrix.  ``apply`` approximates
+    A_0^-1 r.
     """
 
     def __init__(self, mesh: TriMesh, problem: CoefficientSeries):
@@ -283,18 +289,18 @@ class _VCycle:
         self.levels = []
         for m in range(mesh.level_exponent, _COARSEST_EXPONENT, -1):
             P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m), True)
-            self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P))
+            self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T.tocsr()))
             A = (P.T @ A @ P).tocsr()
         self.coarsest = scipy.linalg.cho_factor(A.toarray())
 
     def apply(self, r: np.ndarray, k: int = 0) -> np.ndarray:
         if k == len(self.levels):
             return scipy.linalg.cho_solve(self.coarsest, r)
-        A, inv_diag, P = self.levels[k]
+        A, inv_diag, P, R = self.levels[k]
         x = inv_diag * r
         for _ in range(_JACOBI_SWEEPS - 1):
             x += inv_diag * (r - A @ x)
-        x += P @ self.apply(P.T @ (r - A @ x), k + 1)
+        x += P @ self.apply(R @ (r - A @ x), k + 1)
         for _ in range(_JACOBI_SWEEPS):
             x += inv_diag * (r - A @ x)
         return x

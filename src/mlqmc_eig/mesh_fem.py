@@ -17,7 +17,9 @@ one CSR pattern per mesh, so every shifted operator of that mesh shares
 it (see ``sparse_linalg``).  The stiffness matrix for a parameter ``y``
 combines per-term coefficient tables, evaluated once per (mesh, problem,
 truncation) at O(s n) sines, with a single mat-vec per sample, so the
-per-sample cost scales like s * h^-2.  Tables larger than
+per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
+tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
+cached, like the mass matrix.  Tables larger than
 ``_TABLE_MAX_FLOATS`` are not kept; the coefficient is then evaluated
 term by term on the grids on every call (``CoefficientSeries.a_values``),
 which skips the zero entries of y.
@@ -109,30 +111,6 @@ class TriMesh:
 
     def __repr__(self):
         return f"TriMesh(m={self.level_exponent}, h=1/{self.n_per_side})"
-
-    def element_coords(self) -> np.ndarray:
-        return self.nodes[self.elements]
-
-    def signed_areas(self) -> np.ndarray:
-        p = self.element_coords()
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    def embed(self, u_interior: np.ndarray) -> np.ndarray:
-        """Extend an interior-DOF vector by zero boundary values."""
-        u_interior = np.asarray(u_interior, dtype=float)
-        if u_interior.shape != (self.n_interior,):
-            raise ValueError("interior vector has wrong length")
-        full = np.zeros(self.n_nodes)
-        full[self.interior_nodes] = u_interior
-        return full
-
-    def restrict_vec(self, u_full: np.ndarray) -> np.ndarray:
-        u_full = np.asarray(u_full, dtype=float)
-        if u_full.shape != (self.n_nodes,):
-            raise ValueError("nodal vector has wrong length")
-        return u_full[self.interior_nodes]
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +205,7 @@ class _CoefficientTables:
         self._geo = geo
         self.aj = None
         self.bj = None
-        if 0 < s and s * n_quad <= _TABLE_MAX_FLOATS:
+        if s * n_quad <= _TABLE_MAX_FLOATS:
             self.a0 = geo.evaluate(problem.a0)
             self.aj = self._terms(problem.a_term, s, n_quad)
             if problem.has_b:
@@ -263,19 +241,40 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
 
     Entry (i, j) approximates the integral of
     a^s(x,y) grad(phi_i).grad(phi_j) + b^s(x,y) phi_i phi_j by the
-    edge-midpoint rule; the truncation dimension s is len(y).
+    edge-midpoint rule; the truncation dimension s is len(y).  A zero y
+    of any length (also empty) gives the mean-field operator A(0): it is
+    assembled once per (mesh, problem) from a0 and b0 alone, cached, and
+    returned read-only, the same object on every call.  It is bitwise
+    the matrix the coefficient tables would give, since a0 + 0 * a_j is
+    a0 exactly.
     """
     y = np.asarray(y, dtype=float)
-    geo = _geometry(mesh)
+    if not y.any():
+        return _mean_field_stiffness(mesh, problem)
     tab = _tables(mesh, problem, y.size)
-    a_q = tab.a_at_quad(y)
+    return _stiffness(mesh, problem, tab.a_at_quad(y), tab.b_at_quad(y))
+
+
+def _stiffness(mesh: TriMesh, problem: CoefficientSeries, a_q: np.ndarray,
+               b_q: np.ndarray | None) -> sp.csr_matrix:
+    """Stiffness from a and b at the quadrature nodes, after checking a > 0."""
     if np.any(a_q <= 0.0):
         worst = float(a_q.min())
         raise CoefficientBoundError(
             f"{problem.name}: a(x, y) = {worst:g} <= 0 at a quadrature node"
         )
+    geo = _geometry(mesh)
     cell = (geo.area / 3.0) * a_q.reshape(-1, 3).sum(axis=1)
-    return geo.assemble(cell, tab.b_at_quad(y))
+    return geo.assemble(cell, b_q)
+
+
+@lru_cache(maxsize=64)
+def _mean_field_stiffness(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
+    geo = _geometry(mesh)
+    b_q = geo.evaluate(problem.b0) if problem.has_b else None
+    mat = _stiffness(mesh, problem, geo.evaluate(problem.a0), b_q)
+    mat.data.setflags(write=False)
+    return mat
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from mlqmc_eig import (
     two_grid_eigenpair,
     warm_start_from,
 )
-from mlqmc_eig import eigensolver
+from mlqmc_eig import eigensolver, mesh_fem
 from mlqmc_eig.eigensolver import _gap_estimate, two_grid_fine_update
 
 TOL = 5e-8
@@ -237,6 +238,39 @@ class TestMultigridUpdate:
         B = np.column_stack([vcycle.apply(e) for e in np.eye(mesh.n_interior)])
         assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
         assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
+        # each stored restriction is P^T as a CSR matrix, and the cycle is
+        # bitwise the one that forms P.T on every call
+        for _, _, P, R in vcycle.levels:
+            assert R.format == "csr"
+            assert np.array_equal(R.toarray(), P.T.toarray())
+        transposed = copy.copy(vcycle)
+        transposed.levels = [(A, d, P, P.T) for A, d, P, _ in vcycle.levels]
+        for r in np.random.default_rng(5).standard_normal((5, mesh.n_interior)):
+            assert vcycle.apply(r).tobytes() == transposed.apply(r).tobytes()
+
+    def test_update_and_vcycle_share_one_mean_field_assembly(self, prob1, monkeypatch):
+        # a y = 0 update at h = 1/128 runs MINRES; its operator A(0) is the
+        # V-cycle's finest operator, assembled once per (mesh, problem)
+        y = np.zeros(64)
+        coarse, pair = coarse_pair_at(prob1, y)
+        fine = build_uniform_mesh(7)
+        assert fine.n_interior >= eigensolver._KRYLOV_MIN_DOFS
+        assembled = []
+        stiffness = mesh_fem._stiffness
+
+        def counted(mesh, problem, a_q, b_q):
+            assembled.append((mesh, problem))
+            return stiffness(mesh, problem, a_q, b_q)
+
+        monkeypatch.setattr(mesh_fem, "_stiffness", counted)
+        mesh_fem._mean_field_stiffness.cache_clear()
+        eigensolver._vcycle.cache_clear()
+        for _ in range(2):
+            _, _, stats = two_grid_fine_update(prob1, y, coarse, pair, fine, 64)
+            assert stats.krylov_iterations > 0 and stats.factorizations == 0
+        A = stiffness_interior(fine, prob1, np.zeros(0))
+        assert eigensolver._vcycle(fine, prob1).levels[0][0] is A
+        assert assembled == [(fine, prob1)]
 
     def test_iteration_cap_raises(self, prob1, rng, monkeypatch):
         monkeypatch.setattr(eigensolver, "_KRYLOV_MIN_DOFS", 0)

@@ -62,13 +62,37 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
     return A, M
 
 
+def element_coords(mesh):
+    """Vertex coordinates of every element, (nel, 3, 2)."""
+    return mesh.nodes[mesh.elements]
+
+
+def signed_areas(mesh):
+    p = element_coords(mesh)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def embed(mesh, u_interior):
+    """Extend an interior-DOF vector by zero boundary values."""
+    full = np.zeros(mesh.n_nodes)
+    full[mesh.interior_nodes] = u_interior
+    return full
+
+
+def restrict_vec(mesh, u_full):
+    """The values of a nodal vector at the interior nodes."""
+    return u_full[mesh.interior_nodes]
+
+
 def general_grad_dot(mesh):
     """grad(phi_i).grad(phi_j) per element from each element's Jacobian.
 
     The formula of the general-geometry assembly that the two stencils
     of ``mesh_fem`` replace; kept to show that they agree bitwise.
     """
-    p = mesh.element_coords()
+    p = element_coords(mesh)
     b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
     det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
     inv = np.empty_like(b)
@@ -95,7 +119,7 @@ def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
 def pointwise_quad_points(mesh):
     """The quadrature nodes of every element, (nel, 3, 2), computed from
     the element coordinates as the point-wise assembly held them."""
-    p = mesh.element_coords()
+    p = element_coords(mesh)
     return 0.5 * (p + np.roll(p, -1, axis=1))
 
 
@@ -156,12 +180,12 @@ class TestMesh:
         mesh = build_uniform_mesh(3)
         assert mesh.h == 1 / 8
         assert mesh.n_interior == 49
-        assert np.allclose(mesh.signed_areas(), 1 / 128)
+        assert np.allclose(signed_areas(mesh), 1 / 128)
 
     def test_elements_counterclockwise(self):
         for m in (1, 2, 4):
             mesh = build_uniform_mesh(m)
-            assert np.all(mesh.signed_areas() > 0)
+            assert np.all(signed_areas(mesh) > 0)
 
     def test_node_ordering_lexicographic(self):
         mesh = build_uniform_mesh(2)
@@ -403,6 +427,28 @@ class TestGridCoefficients:
         assert np.array_equal(bits(mass_interior(mesh, problem).data),
                               bits(mesh_fem._geometry(mesh).assemble(None, c).data))
 
+    @pytest.mark.parametrize("m", range(3, 10))
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
+                             ids=["p1", "p1-slow-decay", "p2"])
+    def test_zero_y_is_the_cached_mean_field(self, problem, m, monkeypatch):
+        # a zero y of any length is A(0), assembled from a0 and b0 alone; the
+        # point-wise build at y = 0 is the oracle for every length, since
+        # a0 + 0 * a_j is a0 exactly.  At m = 9 s = 64 tables exceed
+        # _TABLE_MAX_FLOATS; none is built at any m
+        mesh = build_uniform_mesh(m)
+        ref = pointwise_coefficients(mesh, problem, np.zeros(0))
+        expected = bits(pointwise_stiffness(mesh, ref["a"], ref["b"]))
+
+        def no_tables(*args):
+            raise AssertionError("coefficient tables built at y = 0")
+
+        monkeypatch.setattr(mesh_fem, "_tables", no_tables)
+        first = stiffness_interior(mesh, problem, np.zeros(0))
+        assert not first.data.flags.writeable
+        assert np.array_equal(bits(first.data), expected)
+        for s in (0, 8, 64):
+            assert stiffness_interior(mesh, problem, np.zeros(s)) is first
+
 
 def stencil_prolongate(u_coarse, coarse, fine):
     """The coarse function at the fine nodes by the stencil formula that
@@ -436,8 +482,8 @@ class TestProlongate:
                 stencil_prolongate(u, coarse, fine).tobytes()
             u_int = rng.standard_normal(coarse.n_interior)
             assert prolongate(u_int, coarse, fine).tobytes() == \
-                fine.restrict_vec(stencil_prolongate(coarse.embed(u_int), coarse,
-                                                     fine)).tobytes()
+                restrict_vec(fine, stencil_prolongate(embed(coarse, u_int), coarse,
+                                                      fine)).tobytes()
 
     def test_constant_preserved(self):
         coarse, fine = build_uniform_mesh(2), build_uniform_mesh(4)
