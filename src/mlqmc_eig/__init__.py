@@ -38,7 +38,7 @@ from .eigensolver import (
     SolveStats,
     rq_iteration,
     smallest_eigenpair_cold,
-    two_grid_eigenpair,
+    two_grid_fine_update,
     warm_start_from,
 )
 from .qmc import (

@@ -5,9 +5,12 @@ Rayleigh quotient iteration does the heavy lifting: each step solves
 quotient, which converges cubically near a simple eigenpair.  Cold
 starts are safeguarded with a few inverse-power iterations so the
 iteration lands on the smallest eigenvalue; warm starts reuse the
-eigenvector of a nearby parameter sample.  The two-grid update computes
-a fine-mesh eigenvalue from a coarse eigensolve plus one shifted solve
-on the fine mesh.
+eigenvector of a nearby parameter sample.  The two-grid scheme (Xu &
+Zhou 2001) computes a fine-mesh eigenvalue from one coarse eigensolve
+plus one shifted solve per fine mesh: its callers (a telescoped sample
+in ``estimators``, the convergence study in ``cli``) solve the coarse
+pair with the solvers here and pass it to ``two_grid_fine_update`` once
+for each fine mesh.
 
 That fine solve is direct (a SuperLU factorization) on meshes with
 fewer than ``_KRYLOV_MIN_DOFS`` interior DOFs.  On larger meshes it is
@@ -51,6 +54,7 @@ from .sparse_linalg import (
     shifted_operator,
 )
 
+_MAX_RQ_ITER = 50
 _SHIFT_NUDGE = 1e-10
 _MAX_SHIFT_ATTEMPTS = 3
 _POWER_STEPS = 5
@@ -145,8 +149,8 @@ def _factorize_nudged(A, M, sigma: float, stats: SolveStats) -> FactorizedOperat
     )
 
 
-def rq_iteration(A, M, v0: np.ndarray, sigma0: float, tol: float,
-                 max_iter: int = 50) -> tuple[Eigenpair, SolveStats]:
+def rq_iteration(A, M, v0: np.ndarray, sigma0: float,
+                 tol: float) -> tuple[Eigenpair, SolveStats]:
     """Rayleigh quotient iteration from (v0, sigma0).
 
     Stops when the shift changes by at most ``tol`` between iterations
@@ -163,7 +167,7 @@ def rq_iteration(A, M, v0: np.ndarray, sigma0: float, tol: float,
     v = v0 / norm0
     sigma = float(sigma0)
     change = float("inf")
-    for _ in range(max_iter):
+    for _ in range(_MAX_RQ_ITER):
         op = _factorize_nudged(A, M, sigma, stats)
         w = op.solve(M @ v)
         stats.linear_solves += 1
@@ -175,7 +179,7 @@ def rq_iteration(A, M, v0: np.ndarray, sigma0: float, tol: float,
             return _normalized_pair(sigma_new, v, M), stats
         sigma = sigma_new
     raise NoConvergenceError(
-        f"RQ iteration did not converge in {max_iter} iterations "
+        f"RQ iteration did not converge in {_MAX_RQ_ITER} iterations "
         f"(last shift change {change:.3e})"
     )
 
@@ -197,8 +201,7 @@ def _gap_estimate(power_rqs: list[float], lam: float) -> float:
     return lam
 
 
-def smallest_eigenpair_cold(A, M, tol: float,
-                            max_iter: int = 50) -> tuple[Eigenpair, SolveStats]:
+def smallest_eigenpair_cold(A, M, tol: float) -> tuple[Eigenpair, SolveStats]:
     """Smallest eigenpair from a deterministic cold start.
 
     Five inverse-power iterations from the all-ones vector bias the
@@ -224,7 +227,7 @@ def smallest_eigenpair_cold(A, M, tol: float,
             v = v / m_norm(v, M)
             power_rqs.append(rayleigh_quotient(A, M, v))
         try:
-            pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1], tol, max_iter)
+            pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1], tol)
         except NoConvergenceError:
             if restart == _MAX_RESTARTS:
                 raise
@@ -263,13 +266,13 @@ def warm_start_from(previous: Eigenpair, A_current, M) -> tuple[np.ndarray, floa
     return v0, rayleigh_quotient(A_current, M, v0)
 
 
-def smallest_eigenpair(A, M, tol: float, warm: Eigenpair | None = None,
-                       max_iter: int = 50) -> tuple[Eigenpair, SolveStats]:
+def smallest_eigenpair(A, M, tol: float,
+                       warm: Eigenpair | None = None) -> tuple[Eigenpair, SolveStats]:
     """Warm-started RQ iteration when a nearby pair is available, else cold."""
     if warm is None:
-        return smallest_eigenpair_cold(A, M, tol, max_iter)
+        return smallest_eigenpair_cold(A, M, tol)
     v0, sigma0 = warm_start_from(warm, A, M)
-    return rq_iteration(A, M, v0, sigma0, tol, max_iter)
+    return rq_iteration(A, M, v0, sigma0, tol)
 
 
 class _VCycle:
@@ -363,31 +366,3 @@ def two_grid_fine_update(problem: CoefficientSeries, y: np.ndarray,
     lam = rayleigh_quotient(A, M, u)
     return float(lam), _fix_sign(u), stats
 
-
-def two_grid_eigenpair(problem: CoefficientSeries, y,
-                       coarse: tuple[TriMesh, int], fine: tuple[TriMesh, int],
-                       coarse_pair: Eigenpair | None = None,
-                       tol: float = 5e-8
-                       ) -> tuple[float, np.ndarray, Eigenpair, SolveStats]:
-    """Two-grid-truncation approximation of the smallest fine eigenvalue.
-
-    A coarse eigenpair (mesh H, truncation S) is computed first --
-    warm-started from ``coarse_pair`` when given -- then corrected on
-    the fine mesh (h, s) with a single shifted solve.  Returns the coarse
-    pair so the caller can reuse it for the companion update on the
-    previous level and as the warm start for the next nearby sample.
-    """
-    coarse_mesh, s_coarse = coarse
-    fine_mesh, s_fine = fine
-    if coarse_mesh.h < fine_mesh.h or s_coarse > s_fine:
-        raise ValueError("coarse discretisation must be at most as rich as the fine one")
-    y = np.asarray(y, dtype=float)
-
-    A_c = stiffness_interior(coarse_mesh, problem, y[:s_coarse])
-    M_c = mass_interior(coarse_mesh, problem)
-    pair, stats = smallest_eigenpair(A_c, M_c, tol, warm=coarse_pair)
-    lam, u, fine_stats = two_grid_fine_update(
-        problem, y, coarse_mesh, pair, fine_mesh, s_fine
-    )
-    stats.add(fine_stats)
-    return lam, u, pair, stats

@@ -44,6 +44,11 @@ from .qmc import (
 # work units per linear solve / factorization, in units of matrix dimension;
 # factorizations dominate, so they get a fixed heavier weight
 _FACTOR_WORK = 4.0
+# level-0 truncation of the geometric policy, _S0 * 2^ell
+_S0 = 4
+# the adaptive driver's bias estimate |Q_L| / (2^alpha - 1) assumes the
+# O(h^2) eigenvalue error, alpha = 2
+_BIAS_ALPHA = 2.0
 
 
 class MaxLevelExceededError(RuntimeError):
@@ -87,30 +92,30 @@ class LevelParams:
         return 2.0 ** -self.coarse_exponent
 
 
-def truncation_dimension(ell: int, s: int, s_policy: str, s0: int) -> int:
-    """s_ell for the chosen policy: fixed s, or s0 * 2^ell capped at s."""
+def truncation_dimension(ell: int, s: int, s_policy: str) -> int:
+    """s_ell for the chosen policy: fixed s, or _S0 * 2^ell capped at s."""
     if s_policy == "fixed":
         return s
     if s_policy == "geometric":
-        return min(s, s0 * 2 ** ell)
+        return min(s, _S0 * 2 ** ell)
     raise ValueError(f"unknown truncation policy {s_policy!r}")
 
 
 def level_params(ell: int, n_points: int, s: int = 64, s_policy: str = "fixed",
-                 base_exponent: int = 3, s0: int = 4) -> LevelParams:
+                 base_exponent: int = 3) -> LevelParams:
     """Level parameters following the coarse-pair rules H = min(h^(1/4), h0),
-    S = ceil(sqrt(s)) (floored at s0 for growing truncations)."""
+    S = ceil(sqrt(s)) (floored at _S0 for growing truncations)."""
     m = base_exponent + ell
-    s_ell = truncation_dimension(ell, s, s_policy, s0)
+    s_ell = truncation_dimension(ell, s, s_policy)
     # coarsest mesh in the family with meshwidth <= h^(1/4), capped at h0
     coarse_exp = max(base_exponent, math.ceil(m / 4))
     coarse_s = math.isqrt(s_ell - 1) + 1 if s_ell > 1 else 1   # ceil(sqrt(s_ell))
     if s_policy == "geometric":
-        coarse_s = max(coarse_s, min(s0, s_ell))
+        coarse_s = max(coarse_s, min(_S0, s_ell))
     coarse_s = min(coarse_s, s_ell)
     prev_s = None
     if ell > 0:
-        prev_s = truncation_dimension(ell - 1, s, s_policy, s0)
+        prev_s = truncation_dimension(ell - 1, s, s_policy)
     return LevelParams(
         ell=ell,
         mesh_exponent=m,
@@ -123,9 +128,9 @@ def level_params(ell: int, n_points: int, s: int = 64, s_policy: str = "fixed",
 
 
 def default_levels(n_per_level, s: int = 64, s_policy: str = "fixed",
-                   base_exponent: int = 3, s0: int = 4) -> list[LevelParams]:
+                   base_exponent: int = 3) -> list[LevelParams]:
     return [
-        level_params(ell, n, s=s, s_policy=s_policy, base_exponent=base_exponent, s0=s0)
+        level_params(ell, n, s=s, s_policy=s_policy, base_exponent=base_exponent)
         for ell, n in enumerate(n_per_level)
     ]
 
@@ -137,9 +142,6 @@ class EstimatorOptions:
     two_grid: bool = True
     warm_start: bool = True
     rq_tol: float = 5e-8
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _priced(stats: SolveStats, mesh: TriMesh, s: int) -> SolveStats:
@@ -266,13 +268,6 @@ class LevelReport:
     work_units: float
     krylov_iterations: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LevelReport":
-        return cls(**d)
-
 
 CSV_LEVEL_COLUMNS = [
     "level", "h", "s", "H", "S", "N", "R",
@@ -300,16 +295,7 @@ class MlqmcReport:
     trajectory: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["levels"] = [lv.to_dict() if isinstance(lv, LevelReport) else lv
-                       for lv in self.levels]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlqmcReport":
-        d = dict(d)
-        d["levels"] = [LevelReport.from_dict(lv) for lv in d["levels"]]
-        return cls(**d)
+        return asdict(self)
 
     def level_csv_rows(self) -> list[list]:
         rows = [list(CSV_LEVEL_COLUMNS)]
@@ -418,7 +404,7 @@ def _finalize(kind: str, problem: CoefficientSeries, seed: int, n_shifts: int,
         problem=problem.name,
         seed=seed,
         n_shifts=n_shifts,
-        options=options.to_dict(),
+        options=asdict(options),
         levels=level_reports,
         estimate=float(sum(lv.q_hat for lv in level_reports)),
         total_variance=float(sum(lv.variance for lv in level_reports)),
@@ -466,10 +452,10 @@ def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
 
 
 def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
-                  s: int = 64, s_policy: str = "fixed", s0: int = 4,
+                  s: int = 64, s_policy: str = "fixed",
                   rq_tol: float = 5e-8) -> MlqmcReport:
     """Multilevel Monte Carlo with i.i.d. sampling and direct (cold) solves."""
-    levels = default_levels(n_per_level, s=s, s_policy=s_policy, s0=s0)
+    levels = default_levels(n_per_level, s=s, s_policy=s_policy)
     options = EstimatorOptions(two_grid=False, warm_start=False, rq_tol=rq_tol)
     reports = _run_levels(
         problem, levels,
@@ -490,10 +476,9 @@ def largest_variance_per_work(levels: list[LevelReport]) -> int:
 def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                    z: GeneratingVector, seed: int,
                    options: EstimatorOptions = EstimatorOptions(),
-                   s: int = 64, s_policy: str = "fixed", s0: int = 4,
+                   s: int = 64, s_policy: str = "fixed",
                    base_exponent: int = 3, max_level: int = 6,
-                   n_initial: int = 16, bias_alpha: float = 2.0,
-                   max_workers: int = 1,
+                   n_initial: int = 16, max_workers: int = 1,
                    evaluated: dict | None = None) -> MlqmcReport:
     """Tolerance-driven multilevel QMC estimate of E[lambda].
 
@@ -532,7 +517,7 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
 
     def evaluate(action, ell, n_points):
         lv = level_params(ell, n_points, s=s, s_policy=s_policy,
-                          base_exponent=base_exponent, s0=s0)
+                          base_exponent=base_exponent)
         key = (lv, n_shifts, seed, options)
         if key not in evaluated:
             evaluated[key] = _lattice_levels(problem, [lv], n_shifts, z, seed,
@@ -545,7 +530,7 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
 
     var_target = tolerance ** 2 / 2.0
     bias_target = tolerance / math.sqrt(2.0)
-    bias_factor = 2.0 ** bias_alpha - 1.0
+    bias_factor = 2.0 ** _BIAS_ALPHA - 1.0
 
     while True:
         # a NaN variance never meets the target

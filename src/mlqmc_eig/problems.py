@@ -16,7 +16,7 @@ evaluates each term once per table this way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,8 +68,6 @@ class CoefficientSeries:
     a_term: TermFamily
     c: Coefficient
     a_min: float
-    a_max: float
-    decay: dict = field(default_factory=dict)
     b0: Coefficient | None = None
     b_term: TermFamily | None = None
 
@@ -106,8 +104,7 @@ def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
     if p_tilde < 4.0 / 3.0:
         raise ValueError(f"decay exponent must be >= 4/3, got {p_tilde}")
     a0_val = 1.0 if p_tilde >= 2.0 else math.pi / math.sqrt(2.0)
-    half_zeta = 0.5 * zeta(p_tilde)
-    a_min = a0_val - half_zeta
+    a_min = a0_val - 0.5 * zeta(p_tilde)
     if a_min <= 0.0:
         raise ValueError(f"decay {p_tilde} gives a_min = {a_min} <= 0")
 
@@ -129,8 +126,6 @@ def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
         a_term=a_term,
         c=c,
         a_min=a_min,
-        a_max=a0_val + half_zeta,
-        decay={"p_tilde": p_tilde},
     )
 
 
@@ -201,10 +196,6 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
     )
     if b_min < 0.0:
         raise ValueError("island decays give a negative reaction bound")
-    a_max = max(
-        a0_in + _SIGMA_A * 0.5 * zeta(p_a),
-        a0_out + _SIGMA_A_OUT * 0.5 * zeta(p_a_out),
-    )
 
     def piecewise(val_in, val_out):
         def f(x):
@@ -234,8 +225,6 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
         a_term=a_term,
         c=c,
         a_min=a_min,
-        a_max=a_max,
-        decay={"p_a": p_a, "p_a_out": p_a_out, "p_b": p_b, "p_b_out": p_b_out},
         b0=piecewise(b0_in, b0_out),
         b_term=b_term,
     )

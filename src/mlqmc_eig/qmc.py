@@ -35,7 +35,6 @@ class GeneratingVector:
 
     z: np.ndarray
     n_max: int
-    label: str = ""
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.int64)
@@ -92,7 +91,7 @@ def load_generating_vector(path, min_dimension: int | None = None,
                 f"{path}: cannot infer max N from file name; pass n_max explicitly"
             )
         n_max = int(m.group(1))
-    return GeneratingVector(np.array(values, dtype=np.int64), n_max, label=path.name)
+    return GeneratingVector(np.array(values, dtype=np.int64), n_max)
 
 
 def default_generating_vector(min_dimension: int | None = None) -> GeneratingVector:

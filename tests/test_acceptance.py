@@ -33,7 +33,6 @@ from mlqmc_eig import (
     smallest_eigenpair_cold,
     star_discrepancy_bruteforce,
     stiffness_interior,
-    two_grid_eigenpair,
 )
 from mlqmc_eig.estimators import EstimatorOptions, level_params
 
@@ -68,7 +67,7 @@ def test_criterion_1_deterministic_fe_rate():
     assert in_window
 
 
-def test_criterion_2_two_grid_fidelity():
+def test_criterion_2_two_grid_fidelity(two_grid):
     """Two-grid vs direct eigenvalue at h = 1/32, s = 64, 16 lattice points.
 
     The two-grid error is bounded by a power of the coarse mesh width H
@@ -85,16 +84,16 @@ def test_criterion_2_two_grid_fidelity():
     ys = [lattice_point(Z, 16, k, dim=64) - 0.5 for k in range(16)]
     lam_direct = np.array([direct_lambda(P1, 5, y) for y in ys])
 
-    def two_grid(coarse_exponent, coarse_s):
+    def two_grid_lambdas(coarse_exponent, coarse_s):
         coarse = build_uniform_mesh(coarse_exponent)
         return np.array([
-            two_grid_eigenpair(P1, y, (coarse, coarse_s), (fine, 64), tol=RQ_TOL)[0]
+            two_grid(P1, y, (coarse, coarse_s), (fine, 64), tol=RQ_TOL)[0]
             for y in ys
         ])
 
-    tg_8 = two_grid(3, 8)
-    tg_16 = two_grid(4, 8)
-    tg_8_full = two_grid(3, 64)
+    tg_8 = two_grid_lambdas(3, 8)
+    tg_16 = two_grid_lambdas(4, 8)
+    tg_8_full = two_grid_lambdas(3, 64)
     bounds = {"1/8": 100 * RQ_TOL, "1/16": 1e-6}
     errors = {"1/8": tg_8 - lam_direct, "1/16": tg_16 - lam_direct}
     worst = {H: np.abs(err).max() for H, err in errors.items()}

@@ -1,11 +1,13 @@
 import json
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mlqmc_eig import cli
+from mlqmc_eig import build_uniform_mesh, cli, smallest_eigenpair_cold
 from mlqmc_eig.cli import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +15,7 @@ from mlqmc_eig.cli import (
     main,
     run_experiment,
 )
-from mlqmc_eig.estimators import MlqmcReport
+from mlqmc_eig.estimators import LevelReport, MlqmcReport
 
 
 def write_config(tmp_path, **overrides):
@@ -43,6 +45,12 @@ MALFORMED = [
     pytest.param({"seed": True}, "'seed'", id="bool-as-int"),
     pytest.param({"R": 2.7}, "'R'", id="float-as-int"),
     pytest.param({"study": {"exponents": [3, 4]}}, "exponents", id="two-exponents"),
+    pytest.param({"study": {"exponents": [3, 4, 4]}}, "consecutive",
+                 id="repeated-exponent"),
+    pytest.param({"study": {"exponents": [5, 4, 3]}}, "ascending",
+                 id="descending-exponents"),
+    pytest.param({"study": {"exponents": [3, 5, 7]}}, "consecutive",
+                 id="gapped-exponents"),
     pytest.param({"max_level": 0}, "max_level", id="zero-level-cap"),
     pytest.param({"options": {"shared_shifts": False}}, "shared_shifts",
                  id="removed-option"),
@@ -160,8 +168,10 @@ class TestRun:
         assert status == 0
         out = Path(config.out_dir)
         payload = json.loads((out / "report.json").read_text())
-        rep = MlqmcReport.from_dict(payload[0]["report"])
-        assert rep.estimate == payload[0]["report"]["estimate"]
+        # the report's fields, levels included, are what report.json holds
+        report = payload[0]["report"]
+        assert list(report) == [f.name for f in fields(MlqmcReport)]
+        assert list(report["levels"][0]) == [f.name for f in fields(LevelReport)]
         levels = (out / "levels.csv").read_text().splitlines()
         assert levels[0].startswith("level,h,s,H,S,N,R,Q_hat")
         assert len(levels) == 3
@@ -258,6 +268,29 @@ class TestStudy:
         assert summary["reference"] == pytest.approx(19.7392, abs=1e-3)
         study = Path(config.out_dir) / "study.csv"
         assert study.read_text().splitlines()[0] == "h,lambda_h,error_estimate"
+
+    def test_two_grid_solves_the_coarse_pair_once(self, tmp_path, monkeypatch,
+                                                  two_grid):
+        # one cold coarse solve serves every mesh, and each lambda_h is the
+        # one a cold coarse solve per mesh gives
+        path = write_config(tmp_path, study={"mode": "two_grid",
+                                             "exponents": [3, 4, 5, 6],
+                                             "coarse_exponent": 3, "coarse_s": 8})
+        config = ExperimentConfig.from_file(path)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return smallest_eigenpair_cold(*args)
+
+        monkeypatch.setattr(cli, "smallest_eigenpair_cold", counted)
+        summary = convergence_study(config)
+        assert len(calls) == 1
+        problem, coarse, y = config.problem(), build_uniform_mesh(3), np.zeros(64)
+        per_mesh = [two_grid(problem, y, (coarse, 8), (build_uniform_mesh(m), 64))[0]
+                    for m in (3, 4, 5, 6)]
+        assert [lam.hex() for lam in summary["lambda_h"]] == \
+            [lam.hex() for lam in per_mesh]
 
     def test_two_grid_rate_near_two(self, tmp_path):
         path = write_config(

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from mlqmc_eig import (
     CoefficientSeries,
+    LevelParams,
     NoConvergenceError,
     build_uniform_mesh,
     lattice_point,
@@ -20,7 +21,6 @@ from mlqmc_eig import (
     shift_and_center,
     smallest_eigenpair_cold,
     stiffness_interior,
-    two_grid_eigenpair,
     warm_start_from,
 )
 from mlqmc_eig import eigensolver, mesh_fem
@@ -36,7 +36,6 @@ def unit_series():
         a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
         c=lambda x: np.ones(np.broadcast(*x).shape),
         a_min=1.0,
-        a_max=1.0,
     )
 
 
@@ -139,43 +138,42 @@ class TestMonotoneConvergence:
 
 
 class TestTwoGrid:
-    def test_same_grids_reproduce_direct(self, prob1, rng):
+    def test_same_grids_reproduce_direct(self, prob1, rng, two_grid):
         mesh = build_uniform_mesh(4)
         y = rng.random(16) - 0.5
         A = stiffness_interior(mesh, prob1, y)
         M = mass_interior(mesh, prob1)
         direct, _ = smallest_eigenpair_cold(A, M, TOL)
-        lam_tg, _, _, _ = two_grid_eigenpair(prob1, y, (mesh, 16), (mesh, 16))
+        lam_tg, _ = two_grid(prob1, y, (mesh, 16), (mesh, 16))
         assert abs(lam_tg - direct.lam) <= 1e-8
 
-    def test_laplacian_two_grid_error_below_fe_error(self, prob1):
+    def test_laplacian_two_grid_error_below_fe_error(self, prob1, two_grid):
         y = np.zeros(64)
         coarse = build_uniform_mesh(3)
         fine = build_uniform_mesh(5)
-        lam_tg, _, _, _ = two_grid_eigenpair(prob1, y, (coarse, 8), (fine, 64))
+        lam_tg, _ = two_grid(prob1, y, (coarse, 8), (fine, 64))
         direct, _ = smallest_eigenpair_cold(
             stiffness_interior(fine, prob1, y), mass_interior(fine, prob1), TOL
         )
         fe_error = abs(direct.lam - 2 * math.pi ** 2)
         assert abs(lam_tg - direct.lam) < 0.05 * fe_error
 
-    def test_two_grid_h2_convergence(self, prob1):
+    def test_two_grid_h2_convergence(self, prob1, two_grid):
         # two-grid eigenvalues keep the h^2 rate of the direct solve
         y = np.zeros(64)
         coarse = build_uniform_mesh(3)
         errs = []
         for m in (4, 5, 6):
-            lam, _, _, _ = two_grid_eigenpair(prob1, y, (coarse, 8),
-                                              (build_uniform_mesh(m), 64))
+            lam, _ = two_grid(prob1, y, (coarse, 8), (build_uniform_mesh(m), 64))
             errs.append(lam - 2 * math.pi ** 2)
         assert 3.0 < errs[0] / errs[1] < 5.0
         assert 3.0 < errs[1] / errs[2] < 5.0
 
-    def test_consistency_on_random_sample(self, prob1, rng):
+    def test_consistency_on_random_sample(self, prob1, rng, two_grid):
         y = rng.random(64) - 0.5
         coarse = build_uniform_mesh(3)
         fine = build_uniform_mesh(5)
-        lam_tg, _, _, _ = two_grid_eigenpair(prob1, y, (coarse, 8), (fine, 64))
+        lam_tg, _ = two_grid(prob1, y, (coarse, 8), (fine, 64))
         A = stiffness_interior(fine, prob1, y)
         M = mass_interior(fine, prob1)
         direct, _ = smallest_eigenpair_cold(A, M, TOL)
@@ -188,24 +186,27 @@ class TestTwoGrid:
         richardson = lams_direct[-1] + (lams_direct[-1] - lams_direct[-2]) / 3.0
         assert abs(lam_tg - direct.lam) <= 0.05 * abs(direct.lam - richardson)
 
-    def test_update_scaling_invariance(self, prob1, rng):
+    def test_update_scaling_invariance(self, prob1, rng, two_grid):
         # the Rayleigh update is invariant under scaling the fine solution
         y = rng.random(64) - 0.5
         coarse = build_uniform_mesh(3)
         fine = build_uniform_mesh(4)
         A = stiffness_interior(fine, prob1, y)
         M = mass_interior(fine, prob1)
-        lam, u, _, _ = two_grid_eigenpair(prob1, y, (coarse, 8), (fine, 64))
+        lam, u = two_grid(prob1, y, (coarse, 8), (fine, 64))
         lam_scaled = rayleigh_quotient(A, M, 7.3 * u)
         assert lam_scaled == pytest.approx(lam, rel=1e-13)
 
-    def test_rejects_inverted_hierarchy(self, prob1):
+    def test_rejects_inverted_hierarchy(self, prob1, two_grid):
+        # a coarse mesh finer than the fine one is not nested in it; an
+        # inverted truncation is refused by the level parameters
         m4 = build_uniform_mesh(4)
         m3 = build_uniform_mesh(3)
-        with pytest.raises(ValueError):
-            two_grid_eigenpair(prob1, np.zeros(8), (m4, 8), (m3, 8))
-        with pytest.raises(ValueError):
-            two_grid_eigenpair(prob1, np.zeros(16), (m3, 16), (m4, 8))
+        with pytest.raises(ValueError, match="not nested"):
+            two_grid(prob1, np.zeros(8), (m4, 8), (m3, 8))
+        with pytest.raises(ValueError, match="coarse truncation"):
+            LevelParams(ell=1, mesh_exponent=4, s=8, coarse_exponent=3, coarse_s=16,
+                        n_points=16, prev_s=8)
 
 
 def coarse_pair_at(problem, y, m=3, s=8):

@@ -26,7 +26,6 @@ def constant_series(a0=1.0, c=1.0, b0=None):
         a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
         c=const(c),
         a_min=min(a0, c),
-        a_max=max(a0, c),
         b0=None if b0 is None else const(b0),
         b_term=None if b0 is None else (lambda j, x: np.zeros(np.broadcast(*x).shape)),
     )
@@ -355,7 +354,6 @@ class TestAssembly:
             a_term=lambda j, x: np.ones(np.broadcast(*x).shape),
             c=lambda x: np.ones(np.broadcast(*x).shape),
             a_min=0.1,
-            a_max=1.0,
         )
         mesh = build_uniform_mesh(2)
         with pytest.raises(CoefficientBoundError):
@@ -371,7 +369,6 @@ class TestAssembly:
             a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
             c=c,
             a_min=1.0,
-            a_max=1.0,
         )
         with pytest.raises(CoefficientBoundError):
             mass_interior(build_uniform_mesh(2), bad)
