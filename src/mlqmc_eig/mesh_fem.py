@@ -14,10 +14,17 @@ products on a mesh with n cells per side.
 Assembly is interior-only: the stiffness and mass matrices live on the
 interior DOFs (homogeneous Dirichlet boundary), and both are built on
 one CSR pattern per mesh, so every shifted operator of that mesh shares
-it (see ``sparse_linalg``).  The stiffness matrix for a parameter ``y``
-combines per-term coefficient tables, evaluated once per (mesh, problem,
-truncation) at O(s n) sines, with a single mat-vec per sample, so the
-per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
+it (see ``sparse_linalg``).  The pattern comes from the 7-point stencil
+of the mesh, with no sort: an interior node couples to itself and to
+its interior neighbours at the (row, column) offsets of ``_NEIGHBOURS``,
+whose columns ascend in that order.  Local entries whose row or column
+is a boundary node go to one extra bin past the pattern, which assembly
+drops.
+
+The stiffness matrix for a parameter ``y`` combines per-term
+coefficient tables, evaluated once per (mesh, problem, truncation) at
+O(s n) sines, with a single mat-vec per sample, so the per-sample cost
+scales like s * h^-2.  The mean field y = 0 needs no
 tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
 cached, like the mass matrix.  Tables larger than
 ``_TABLE_MAX_FLOATS`` are not kept; the coefficient is then evaluated
@@ -52,6 +59,9 @@ _PHI_OUTER = np.einsum("qi,qj->qij", _PHI, _PHI)
 _VERTICES = np.array([[[0, 0], [1, 0], [1, 1]],
                       [[0, 0], [1, 1], [0, 1]]])
 
+# (row, column) offsets of the nodes a node couples to, columns ascending
+_NEIGHBOURS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+
 # h^2 grad(phi_i).grad(phi_j) on the lower (v00, v10, v11) and the upper
 # (v00, v11, v01) triangle of a cell; every mesh has only these two
 _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
@@ -71,7 +81,11 @@ class TriMesh:
     Nodes are ordered lexicographically by (row, column), i.e. index
     ``r*(n+1) + c`` sits at (c*h, r*h).  Every square cell is split into
     the two counterclockwise triangles (v00, v10, v11) and
-    (v00, v11, v01), each of area h^2/2.
+    (v00, v11, v01), each of area h^2/2, and elements are numbered by
+    cell (row-major), lower before upper.  The mesh stores no node or
+    element arrays, only its counts and ``interior_index`` (the DOF of
+    each node, -1 on the boundary); everything else follows from the
+    structure.
     """
 
     def __init__(self, level_exponent: int):
@@ -83,31 +97,12 @@ class TriMesh:
         self.level_exponent = level_exponent
         self.n_per_side = n
         self.h = 1.0 / n
-
-        cols, rows = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
-        self.nodes = np.column_stack([cols.ravel() * self.h, rows.ravel() * self.h])
         self.n_nodes = (n + 1) ** 2
-
-        cell_r, cell_c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        v00 = (cell_r * (n + 1) + cell_c).ravel()
-        v10 = v00 + 1
-        v01 = v00 + (n + 1)
-        v11 = v01 + 1
-        lower = np.column_stack([v00, v10, v11])
-        upper = np.column_stack([v00, v11, v01])
-        # interleave lower/upper per cell so element order follows the cells
-        self.elements = np.column_stack([lower, upper]).reshape(-1, 3).astype(np.int64)
         self.n_elements = 2 * n * n
-
-        r = self.nodes[:, 1] / self.h
-        c = self.nodes[:, 0] / self.h
-        self.is_boundary = (
-            (np.rint(r) == 0) | (np.rint(r) == n) | (np.rint(c) == 0) | (np.rint(c) == n)
-        )
-        self.interior_nodes = np.flatnonzero(~self.is_boundary)
         self.n_interior = (n - 1) ** 2
-        self.interior_index = np.full(self.n_nodes, -1, dtype=np.int64)
-        self.interior_index[self.interior_nodes] = np.arange(self.n_interior)
+        index = np.full((n + 1, n + 1), -1, dtype=np.int64)
+        index[1:n, 1:n] = np.arange(self.n_interior).reshape(n - 1, n - 1)
+        self.interior_index = index.ravel()
 
     def __repr__(self):
         return f"TriMesh(m={self.level_exponent}, h=1/{self.n_per_side})"
@@ -126,6 +121,13 @@ class _Geometry:
     quadrature node k = 3 t + q (triangle t, node q of ``_PHI``) of cell
     (r, c): the midpoint of the edge from vertex q to vertex q + 1,
     computed as 0.5 * (p_q + p_{q+1}) from the node coordinates.
+
+    ``indices`` and ``indptr`` (int32) are the interior CSR pattern,
+    read off the 7-point stencil of ``_NEIGHBOURS`` with no sort.
+    ``slots[k]`` is the data slot of local entry k of the 9 * n_el, in
+    element order; an entry whose row or column is a boundary node has
+    slot nnz, the extra bin that ``assemble`` drops.  Every slot sums
+    its contributions in element order.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -140,19 +142,32 @@ class _Geometry:
         self.quad_x1 = 0.5 * (line[cells + start[:, :1]] + line[cells + end[:, :1]])
         self.quad_x2 = 0.5 * (line[cells + start[:, 1:]] + line[cells + end[:, 1:]])
 
-        # interior CSR pattern; the local entry keep[k] of the 9*nel lands
-        # in slot slots[k] of the data array
-        ele = mesh.elements
-        rows = mesh.interior_index[np.repeat(ele, 3, axis=1).ravel()]
-        cols = mesh.interior_index[np.tile(ele, (1, 3)).ravel()]
-        self.keep = (rows >= 0) & (cols >= 0)
-        dim = mesh.n_interior
-        keys = rows[self.keep] * dim + cols[self.keep]
-        unique_keys, self.slots = np.unique(keys, return_inverse=True)
-        self.indices = (unique_keys % dim).astype(np.int32)
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.add.at(indptr, (unique_keys // dim) + 1, 1)
-        self.indptr = np.cumsum(indptr, dtype=np.int32)
+        # interior CSR pattern: node (r, c) couples to (r + dr, c + dc)
+        # of _NEIGHBOURS[k] when both are interior; row-major over
+        # (r, c, k) the valid couplings are the CSR entries in order
+        index = mesh.interior_index.reshape(n + 1, n + 1)
+        column = np.full((n + 1, n + 1, len(_NEIGHBOURS)), -1, dtype=np.int32)
+        for k, (dr, dc) in enumerate(_NEIGHBOURS):
+            column[1:n, 1:n, k] = index[1 + dr:n + dr, 1 + dc:n + dc]
+        valid = column >= 0
+        self.indices = column[valid]
+        del column
+        self.indptr = np.zeros(mesh.n_interior + 1, dtype=np.int32)
+        np.cumsum(valid[1:n, 1:n].sum(axis=2), out=self.indptr[1:])
+        nnz = self.indices.size
+
+        # slot of every local entry (cell row, cell column, triangle t,
+        # i, j) in the data array; entries off the pattern go to bin nnz
+        slot = np.full(valid.shape, nnz, dtype=np.intp)
+        slot[valid] = np.arange(nnz)
+        del valid
+        slots = np.empty((n, n, 2, 3, 3), dtype=np.intp)
+        for t, tri in enumerate(_VERTICES):
+            for i, (ci, ri) in enumerate(tri):
+                for j, (cj, rj) in enumerate(tri):
+                    k = _NEIGHBOURS.index((rj - ri, cj - ci))
+                    slots[:, :, t, i, j] = slot[ri:ri + n, ci:ci + n, k]
+        self.slots = slots.ravel()
 
     def evaluate(self, fn, out: np.ndarray | None = None) -> np.ndarray:
         """``fn((x1, x2))`` at every quadrature node, flat in element order.
@@ -178,8 +193,8 @@ class _Geometry:
         if quad_scalars is not None:
             w = quad_scalars.reshape(-1, 3) * (self.area / 3.0)
             vals = vals + np.einsum("eq,qij->eij", w, _PHI_OUTER)
-        data = np.bincount(self.slots, weights=vals.ravel()[self.keep],
-                           minlength=self.indices.size)
+        nnz = self.indices.size
+        data = np.bincount(self.slots, weights=vals.ravel(), minlength=nnz + 1)[:nnz]
         dim = self.mesh.n_interior
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
 

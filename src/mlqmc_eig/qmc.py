@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 BUILTIN_VECTOR_NAME = "lattice-182667-1024-1048576.256"
 
@@ -167,6 +166,8 @@ def shift_average_and_variance(per_shift_estimates) -> tuple[float, float]:
 
 def max_nn_distance(points: np.ndarray) -> float:
     """Largest l-infinity distance from any point to its nearest neighbour."""
+    from scipy.spatial import cKDTree   # diagnostic only; kept off the import path
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("need at least 2 points")

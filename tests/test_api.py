@@ -6,6 +6,9 @@ one of the deliberate diagnostics listed below.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mlqmc_eig
@@ -48,3 +51,13 @@ def test_every_export_has_a_caller():
     assert DIAGNOSTICS <= exported
     uncalled = exported - referenced_names() - DIAGNOSTICS
     assert not uncalled, f"exported but never used in the package: {sorted(uncalled)}"
+
+
+def test_import_leaves_diagnostic_dependencies_unloaded():
+    # scipy.spatial serves only the diagnostic max_nn_distance, which
+    # imports it on call; a plain import of the package must not load it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, mlqmc_eig; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,59 @@ def constant_series(a0=1.0, c=1.0, b0=None):
     )
 
 
+def mesh_nodes(mesh):
+    """Coordinates of every node, (n_nodes, 2): index r*(n+1) + c sits at
+    (c*h, r*h)."""
+    n = mesh.n_per_side
+    cols, rows = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+    return np.column_stack([cols.ravel() * mesh.h, rows.ravel() * mesh.h])
+
+
+def mesh_elements(mesh):
+    """Vertex indices of every element, (nel, 3): per cell (row-major) the
+    lower (v00, v10, v11), then the upper (v00, v11, v01) triangle."""
+    n = mesh.n_per_side
+    cell_r, cell_c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (cell_r * (n + 1) + cell_c).ravel()
+    v10 = v00 + 1
+    v01 = v00 + (n + 1)
+    v11 = v01 + 1
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    return np.column_stack([lower, upper]).reshape(-1, 3)
+
+
+def boundary_mask(mesh):
+    """Which nodes lie on the boundary, from their coordinates."""
+    pts = mesh_nodes(mesh) / mesh.h
+    r, c = np.rint(pts[:, 1]), np.rint(pts[:, 0])
+    n = mesh.n_per_side
+    return (r == 0) | (r == n) | (c == 0) | (c == n)
+
+
+def interior_nodes(mesh):
+    """Node indices of the interior DOFs, in DOF order."""
+    return np.flatnonzero(~boundary_mask(mesh))
+
+
+def sort_pattern(mesh):
+    """The interior CSR pattern by the sort-based build that the stencil
+    pattern of ``mesh_fem`` replaced: ``(indices, indptr, slots, keep)``,
+    where the local entry ``keep[k]`` of the 9 * nel lands in data slot
+    ``slots[k]``."""
+    ele = mesh_elements(mesh)
+    rows = mesh.interior_index[np.repeat(ele, 3, axis=1).ravel()]
+    cols = mesh.interior_index[np.tile(ele, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    dim = mesh.n_interior
+    keys = rows[keep] * dim + cols[keep]
+    unique_keys, slots = np.unique(keys, return_inverse=True)
+    indices = (unique_keys % dim).astype(np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.add.at(indptr, (unique_keys // dim) + 1, 1)
+    return indices, np.cumsum(indptr, dtype=np.int32), slots, keep
+
+
 def naive_assembly(mesh, a_fn, b_fn, c_fn):
     """Dense per-element assembly oracle with its own basis-function math.
 
@@ -41,8 +95,9 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
     n = mesh.n_nodes
     A = np.zeros((n, n))
     M = np.zeros((n, n))
-    for tri in mesh.elements:
-        coords = mesh.nodes[tri]
+    nodes = mesh_nodes(mesh)
+    for tri in mesh_elements(mesh):
+        coords = nodes[tri]
         vand = np.column_stack([np.ones(3), coords])
         basis = np.linalg.solve(vand, np.eye(3))   # column i: coeffs of phi_i
         area = 0.5 * abs(np.linalg.det(vand))
@@ -63,7 +118,7 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
 
 def element_coords(mesh):
     """Vertex coordinates of every element, (nel, 3, 2)."""
-    return mesh.nodes[mesh.elements]
+    return mesh_nodes(mesh)[mesh_elements(mesh)]
 
 
 def signed_areas(mesh):
@@ -76,13 +131,13 @@ def signed_areas(mesh):
 def embed(mesh, u_interior):
     """Extend an interior-DOF vector by zero boundary values."""
     full = np.zeros(mesh.n_nodes)
-    full[mesh.interior_nodes] = u_interior
+    full[interior_nodes(mesh)] = u_interior
     return full
 
 
 def restrict_vec(mesh, u_full):
     """The values of a nodal vector at the interior nodes."""
-    return u_full[mesh.interior_nodes]
+    return u_full[interior_nodes(mesh)]
 
 
 def general_grad_dot(mesh):
@@ -106,13 +161,14 @@ def general_grad_dot(mesh):
 
 
 def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
-    """CSR data of ``geo.assemble`` computed from per-element ``grad_dot``."""
+    """CSR data of ``geo.assemble`` computed from per-element ``grad_dot``
+    and scattered on the sort-based pattern."""
+    indices, _, slots, keep = sort_pattern(geo.mesh)
     vals = grad_dot * cell_scalars[:, None, None] if cell_scalars is not None \
         else np.zeros_like(grad_dot)
     w = quad_scalars.reshape(-1, 3) * (geo.area / 3.0)
     vals = vals + np.einsum("eq,qij->eij", w, mesh_fem._PHI_OUTER)
-    return np.bincount(geo.slots, weights=vals.ravel()[geo.keep],
-                       minlength=geo.indices.size)
+    return np.bincount(slots, weights=vals.ravel()[keep], minlength=indices.size)
 
 
 def pointwise_quad_points(mesh):
@@ -157,14 +213,15 @@ def bits(values):
 
 def interior_block(mesh, matrix):
     """The rows and columns of a full nodal matrix at the interior nodes."""
-    idx = mesh.interior_nodes
+    idx = interior_nodes(mesh)
     return matrix[np.ix_(idx, idx)]
 
 
 def far_from_boundary(mesh):
     """Interior-DOF indices of the nodes with no boundary neighbour."""
+    ele = mesh_elements(mesh)
     near = np.zeros(mesh.n_nodes, dtype=bool)
-    near[mesh.elements[mesh.is_boundary[mesh.elements].any(axis=1)]] = True
+    near[ele[boundary_mask(mesh)[ele].any(axis=1)]] = True
     return mesh.interior_index[~near]
 
 
@@ -189,15 +246,16 @@ class TestMesh:
     def test_node_ordering_lexicographic(self):
         mesh = build_uniform_mesh(2)
         # index r*(n+1)+c at (c*h, r*h)
-        assert np.allclose(mesh.nodes[0], [0, 0])
-        assert np.allclose(mesh.nodes[1], [0.25, 0])
-        assert np.allclose(mesh.nodes[5], [0, 0.25])
+        nodes = mesh_nodes(mesh)
+        assert np.allclose(nodes[0], [0, 0])
+        assert np.allclose(nodes[1], [0.25, 0])
+        assert np.allclose(nodes[5], [0, 0.25])
 
     def test_interior_index_roundtrip(self):
         mesh = build_uniform_mesh(3)
-        assert mesh.interior_index[mesh.is_boundary].max() == -1
-        interior = np.flatnonzero(~mesh.is_boundary)
-        assert np.array_equal(mesh.interior_nodes, interior)
+        assert mesh.interior_index[boundary_mask(mesh)].max() == -1
+        interior = np.flatnonzero(~boundary_mask(mesh))
+        assert np.array_equal(np.flatnonzero(mesh.interior_index >= 0), interior)
         assert mesh.interior_index[interior[5]] == 5
 
     def test_dof_scaling(self):
@@ -211,6 +269,32 @@ class TestMesh:
             build_uniform_mesh(0)
         with pytest.raises(ValueError):
             build_uniform_mesh(20)
+
+
+class TestPattern:
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_matches_sort_oracle(self, m):
+        mesh = build_uniform_mesh(m)
+        geo = mesh_fem._geometry(mesh)
+        indices, indptr, slots, keep = sort_pattern(mesh)
+        assert geo.indices.dtype == geo.indptr.dtype == np.int32
+        assert geo.indices.tobytes() == indices.tobytes()
+        assert geo.indptr.tobytes() == indptr.tobytes()
+        assert geo.slots.size == keep.size == 9 * mesh.n_elements
+        assert np.array_equal(geo.slots[keep], slots)
+        # every entry with a boundary row or column goes to the extra bin
+        assert np.all(geo.slots[~keep] == indices.size)
+
+    def test_geometry_peak_memory_within_3x_retained(self):
+        mesh = build_uniform_mesh(8)
+        tracemalloc.start()
+        try:
+            geo = mesh_fem._Geometry(mesh)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert geo.indices.size > 0
+        assert peak <= 3 * retained, (peak, retained)
 
 
 class TestAssembly:
@@ -495,12 +579,13 @@ class TestProlongate:
     def test_linear_function_exact(self):
         coarse, fine = build_uniform_mesh(2), build_uniform_mesh(4)
         f = lambda pts: pts[:, 0] + pts[:, 1]
-        out = prolongate(f(coarse.nodes), coarse, fine)
-        assert np.allclose(out, f(fine.nodes), atol=1e-15)
+        out = prolongate(f(mesh_nodes(coarse)), coarse, fine)
+        assert np.allclose(out, f(mesh_nodes(fine)), atol=1e-15)
 
     def test_max_norm_preserved_for_linears(self):
         coarse, fine = build_uniform_mesh(3), build_uniform_mesh(5)
-        vals = 2.0 * coarse.nodes[:, 0] - coarse.nodes[:, 1]
+        nodes = mesh_nodes(coarse)
+        vals = 2.0 * nodes[:, 0] - nodes[:, 1]
         out = prolongate(vals, coarse, fine)
         assert np.abs(out).max() == pytest.approx(np.abs(vals).max(), abs=1e-15)
 
