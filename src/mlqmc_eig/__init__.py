@@ -46,12 +46,9 @@ from .qmc import (
     ShiftSet,
     default_generating_vector,
     lattice_point,
-    lattice_points,
     load_generating_vector,
-    max_nn_distance,
     shift_and_center,
     shift_average_and_variance,
-    star_discrepancy_bruteforce,
 )
 from .estimators import (
     EstimatorOptions,

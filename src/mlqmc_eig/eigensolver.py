@@ -13,7 +13,7 @@ pair with the solvers here and pass it to ``two_grid_fine_update`` once
 for each fine mesh.
 
 That fine solve is direct (a SuperLU factorization) on meshes with
-fewer than ``_KRYLOV_MIN_DOFS`` interior DOFs.  On larger meshes it is
+fewer than ``_KRYLOV_MIN_DOFS`` interior DOFs, h = 1/64.  From there it is
 MINRES (Paige & Saunders 1975) on the symmetric indefinite operator
 A(y) - lambda_H M, preconditioned by a multigrid V-cycle (Hackbusch
 1985) built once per (mesh, problem) on the mean-field stiffness A(0),
@@ -23,6 +23,15 @@ prolongations of ``mesh_fem.prolongation``, two damped-Jacobi sweeps
 before and after each coarse correction, and a dense Cholesky
 factorization on the coarsest mesh.  The V-cycle is symmetric positive
 definite, as MINRES requires of a preconditioner.
+
+The solvers reach scipy through two private entry points, verified on
+scipy 1.17.1 (see ``sparse_linalg``): every factorization is one call of
+SuperLU's ``_superlu.gstrf`` inside ``sparse_linalg.factorize_shifted``,
+and every sparse product on the hot path (right-hand sides, Rayleigh
+quotients, the V-cycle and the MINRES operator) is ``sparse_linalg.matvec``,
+which runs ``_sparsetools.csr_matvec``, the kernel of ``S @ x``.  The
+oracle tests in ``tests/test_sparse_linalg.py`` pin both to the public
+``splu`` and ``@``.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .sparse_linalg import (
     factorize_shifted,
     m_inner,
     m_norm,
+    matvec,
     rayleigh_quotient,
     shifted_operator,
 )
@@ -62,12 +72,13 @@ _VERIFY_ANGLE = 1e-3
 _MAX_RESTARTS = 2
 
 # two-grid fine solves on meshes with at least this many interior DOFs
-# (h = 1/128) use preconditioned MINRES.  Median of 25 updates, assembly
-# included, Problem 1, s = 64, random y, one BLAS thread, direct vs MINRES:
-# 2.8 vs 4.6 ms at h = 1/32, 13 vs 11 ms at 1/64, 66 vs 35 ms at 1/128,
-# 336 vs 127 ms at 1/256.  MINRES now also wins at 1/64 (by 20-30% in
-# three runs); the cutoff stays, since moving it moves the h = 1/64 outputs
-_KRYLOV_MIN_DOFS = 127 ** 2
+# (h = 1/64) use preconditioned MINRES.  Median of 25 updates, assembly
+# included, Problem 1, s = 64, random y, one BLAS thread, on a shared
+# 2-core host, direct vs MINRES: 2.2-2.6 vs 2.7-3.2 ms at h = 1/32 and
+# 56-64 vs 24-32 ms at 1/128 in three runs; 9.1-15.4 vs 6.5-10.5 ms at
+# 1/64 in eight runs, MINRES ahead in seven and level in one.  The two
+# eigenvalues agree to 1.4e-14 relative
+_KRYLOV_MIN_DOFS = 63 ** 2
 # a looser tolerance moves the fine eigenvalue by up to 2.4e-12 relative
 _MINRES_RTOL = 1e-12
 _MINRES_MAX_ITER = 200
@@ -169,7 +180,7 @@ def rq_iteration(A, M, v0: np.ndarray, sigma0: float,
     change = float("inf")
     for _ in range(_MAX_RQ_ITER):
         op = _factorize_nudged(A, M, sigma, stats)
-        w = op.solve(M @ v)
+        w = op.solve(matvec(M, v))
         stats.linear_solves += 1
         v = w / m_norm(w, M)
         sigma_new = rayleigh_quotient(A, M, v)
@@ -222,7 +233,7 @@ def smallest_eigenpair_cold(A, M, tol: float) -> tuple[Eigenpair, SolveStats]:
         op = _factorize_nudged(A, M, 0.0, stats)
         power_rqs = []
         for _ in range(_POWER_STEPS):
-            v = op.solve(M @ v)
+            v = op.solve(matvec(M, v))
             stats.linear_solves += 1
             v = v / m_norm(v, M)
             power_rqs.append(rayleigh_quotient(A, M, v))
@@ -240,7 +251,7 @@ def smallest_eigenpair_cold(A, M, tol: float) -> tuple[Eigenpair, SolveStats]:
             if restart == _MAX_RESTARTS:
                 raise
             continue
-        w = verify_op.solve(M @ pair.u)
+        w = verify_op.solve(matvec(M, pair.u))
         stats.linear_solves += 1
         cosine = abs(m_inner(w, pair.u, M)) / m_norm(w, M)
         angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
@@ -302,10 +313,10 @@ class _VCycle:
         A, inv_diag, P, R = self.levels[k]
         x = inv_diag * r
         for _ in range(_JACOBI_SWEEPS - 1):
-            x += inv_diag * (r - A @ x)
-        x += P @ self.apply(R @ (r - A @ x), k + 1)
+            x += inv_diag * (r - matvec(A, x))
+        x += matvec(P, self.apply(matvec(R, r - matvec(A, x)), k + 1))
         for _ in range(_JACOBI_SWEEPS):
-            x += inv_diag * (r - A @ x)
+            x += inv_diag * (r - matvec(A, x))
         return x
 
 
@@ -325,8 +336,11 @@ def _minres_solve(K: sp.csr_matrix, b: np.ndarray, mesh: TriMesh,
         nonlocal iterations
         iterations += 1
 
-    x, info = minres(K, b, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER,
-                     M=LinearOperator((n, n), matvec=vcycle.apply), callback=count)
+    # with no dtype, LinearOperator would probe it by one product (a V-cycle)
+    x, info = minres(LinearOperator((n, n), matvec=lambda v: matvec(K, v), dtype=float),
+                     b, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER,
+                     M=LinearOperator((n, n), matvec=vcycle.apply, dtype=float),
+                     callback=count)
     stats.krylov_iterations += iterations
     if info != 0:
         residual = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
@@ -354,7 +368,7 @@ def two_grid_fine_update(problem: CoefficientSeries, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     A = stiffness_interior(fine_mesh, problem, y[:s])
     M = mass_interior(fine_mesh, problem)
-    b = M @ prolongate(coarse_pair.u, coarse_mesh, fine_mesh)
+    b = matvec(M, prolongate(coarse_pair.u, coarse_mesh, fine_mesh))
     if fine_mesh.n_interior < _KRYLOV_MIN_DOFS:
         u = _factorize_nudged(A, M, coarse_pair.lam, stats).solve(b)
     else:

@@ -1,4 +1,4 @@
-"""Randomly shifted rank-1 lattice rules and point-set diagnostics.
+"""Randomly shifted rank-1 lattice rules.
 
 Lattice points are generated in exact integer arithmetic as
 ``t_k = ((k * z) mod N) / N`` for a generating vector ``z`` whose
@@ -18,10 +18,6 @@ from pathlib import Path
 import numpy as np
 
 BUILTIN_VECTOR_NAME = "lattice-182667-1024-1048576.256"
-
-# diagnostic-only limits for the brute-force star discrepancy
-_DISC_MAX_DIM = 3
-_DISC_MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -116,14 +112,6 @@ def lattice_point(z: GeneratingVector, n: int, k: int, dim: int | None = None) -
     return ((k * zz) % n) / n
 
 
-def lattice_points(z: GeneratingVector, n: int, dim: int) -> np.ndarray:
-    """All N points of the rule as an (N, dim) array in [0,1)^dim."""
-    _check_n(z, n)
-    zz = z.components(dim)
-    k = np.arange(n, dtype=np.int64)[:, None]
-    return ((k * zz[None, :]) % n) / n
-
-
 def shift_and_center(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Apply a random shift modulo 1 and recenter: {t + delta} - 1/2."""
     t = np.asarray(t, dtype=float)
@@ -162,63 +150,3 @@ def shift_average_and_variance(per_shift_estimates) -> tuple[float, float]:
     mean = q.mean()
     var = float(np.sum((mean - q) ** 2) / (r * (r - 1)))
     return float(mean), var
-
-
-def max_nn_distance(points: np.ndarray) -> float:
-    """Largest l-infinity distance from any point to its nearest neighbour."""
-    from scipy.spatial import cKDTree   # diagnostic only; kept off the import path
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 2:
-        raise ValueError("need at least 2 points")
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2, p=np.inf)
-    return float(dist[:, 1].max())
-
-
-def star_discrepancy_bruteforce(points: np.ndarray) -> float:
-    """Star discrepancy by exhaustive search over candidate box corners.
-
-    Candidate corners are taken from the coordinate grid of the points
-    plus 1.0 in each axis; at each corner both the strict count (the
-    value of the discrepancy function on [0, b)) and the non-strict
-    count (its limit from above) are compared against the box volume,
-    which captures the supremum over half-open boxes.  Deliberately
-    restricted to tiny instances; this is a test diagnostic.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, s = pts.shape
-    if s > _DISC_MAX_DIM or n > _DISC_MAX_POINTS:
-        raise ValueError(
-            f"brute-force discrepancy limited to dimension {_DISC_MAX_DIM} "
-            f"and {_DISC_MAX_POINTS} points"
-        )
-    if n < 1:
-        raise ValueError("need at least one point")
-    # per-axis candidate corners and point-below-corner indicators
-    cands = [np.unique(np.concatenate([pts[:, j], [1.0]])) for j in range(s)]
-    lt = [pts[:, j][None, :] < c[:, None] for j, c in enumerate(cands)]   # (Cj, n)
-    le = [pts[:, j][None, :] <= c[:, None] for j, c in enumerate(cands)]
-    best = 0.0
-    if s == 1:
-        strict = lt[0].sum(axis=1)
-        nonstrict = le[0].sum(axis=1)
-        vol = cands[0]
-        best = max(np.abs(strict / n - vol).max(), np.abs(nonstrict / n - vol).max())
-    else:
-        import itertools
-
-        for idx in itertools.product(*(range(len(c)) for c in cands)):
-            in_strict = lt[0][idx[0]]
-            in_nonstrict = le[0][idx[0]]
-            vol = cands[0][idx[0]]
-            for j in range(1, s):
-                in_strict = in_strict & lt[j][idx[j]]
-                in_nonstrict = in_nonstrict & le[j][idx[j]]
-                vol *= cands[j][idx[j]]
-            best = max(
-                best,
-                abs(in_strict.sum() / n - vol),
-                abs(in_nonstrict.sum() / n - vol),
-            )
-    return float(best)

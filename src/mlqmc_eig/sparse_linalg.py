@@ -15,10 +15,25 @@ gather that takes values on the CSR pattern to the permuted CSC
 pattern.  For a pair on the k x k interior grid the ordering is a
 geometric nested dissection (George 1973); for any other pattern it is
 the identity.  Each factorization is then one subtraction of value
-arrays, one gather and one SuperLU call that keeps the given column
-order (``permc_spec="NATURAL"``).  Where the two-grid update solves
-iteratively instead (see ``eigensolver``), ``shifted_operator`` forms
-A - sigma*M by the same subtraction, as a CSR matrix on the pattern.
+arrays, one gather and one call of SuperLU's ``gstrf``, which keeps the
+given column order.  Where the two-grid update solves iteratively
+instead (see ``eigensolver``), ``shifted_operator`` forms A - sigma*M by
+the same subtraction, as a CSR matrix on the pattern, and ``matvec``
+applies it.
+
+Two private scipy entry points carry the hot paths, both verified on
+scipy 1.17.1:
+
+- ``scipy.sparse.linalg._dsolve._superlu.gstrf``, called with the
+  ordering's int32 CSC arrays and exactly the options that
+  ``splu(A, permc_spec="NATURAL")`` passes it.  The pivots are read
+  from the raw buffers of U, so no CSC input, L or U matrix is built.
+- ``scipy.sparse._sparsetools.csr_matvec``, the kernel that ``S @ x``
+  runs for a CSR matrix S, without the dispatch around it.
+
+``tests/test_sparse_linalg.py`` holds the public ``splu`` and ``@`` as
+oracles for both: the same accept/reject decision, pivot ratio, fill
+and solution bytes, and bitwise equal products.
 """
 
 from __future__ import annotations
@@ -29,11 +44,15 @@ from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse import _sparsetools
+from scipy.sparse.linalg._dsolve import _superlu
 
 _PIVOT_RTOL = 1e-14
 _ND_LEAF_CELLS = 4
 _ORDERINGS_KEPT = 16
+# the options splu(A, permc_spec="NATURAL") passes to gstrf
+_GSTRF_OPTIONS = {"DiagPivotThresh": None, "ColPerm": "NATURAL", "PanelSize": None,
+                  "Relax": None, "SymmetricMode": True}
 
 
 class SingularShiftError(RuntimeError):
@@ -101,6 +120,9 @@ class _Ordering:
 
 _orderings: OrderedDict[tuple, _Ordering] = OrderedDict()
 _orderings_lock = threading.Lock()
+# (indptr, indices, ordering) of the last lookup; the steps of one
+# eigensolve factorize the same matrix, so they find it by identity
+_last_lookup: tuple = (None, None, None)
 
 
 def _address(a: np.ndarray) -> int:
@@ -108,7 +130,8 @@ def _address(a: np.ndarray) -> int:
 
 
 def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and (_address(a) == _address(b) or np.array_equal(a, b))
+    return a is b or (a.shape == b.shape
+                      and (_address(a) == _address(b) or np.array_equal(a, b)))
 
 
 def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
@@ -118,18 +141,22 @@ def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
     matrices of one mesh, which share the mesh's pattern arrays, find
     the ordering its first factorization built.
     """
-    key = (indptr.size, indices.size, _address(indptr), _address(indices))
+    global _last_lookup
     with _orderings_lock:
+        if indptr is _last_lookup[0] and indices is _last_lookup[1]:
+            return _last_lookup[2]
+        key = (indptr.size, indices.size, _address(indptr), _address(indices))
         ordering = _orderings.get(key)
         if ordering is not None:
             _orderings.move_to_end(key)
-            return ordering
-        n = indptr.size - 1
-        k = math.isqrt(n)
-        perm = nested_dissection(k) if k * k == n else np.arange(n)
-        ordering = _orderings[key] = _Ordering(indptr, indices, perm)
-        if len(_orderings) > _ORDERINGS_KEPT:
-            _orderings.popitem(last=False)
+        else:
+            n = indptr.size - 1
+            k = math.isqrt(n)
+            perm = nested_dissection(k) if k * k == n else np.arange(n)
+            ordering = _orderings[key] = _Ordering(indptr, indices, perm)
+            if len(_orderings) > _ORDERINGS_KEPT:
+                _orderings.popitem(last=False)
+        _last_lookup = (indptr, indices, ordering)
         return ordering
 
 
@@ -149,6 +176,11 @@ def shifted_operator(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> sp.csr_mat
                          shape=A.shape)
 
 
+def _raw_csc(arrays, shape):
+    # gstrf's csc_construct_func: keep L and U as their raw CSC buffers
+    return arrays
+
+
 class FactorizedOperator:
     """Direct factorization of A - sigma*M, A and M on one CSR pattern.
 
@@ -161,20 +193,25 @@ class FactorizedOperator:
         self.sigma = float(sigma)
         self.n = A.shape[0]
         A, M = _on_one_pattern(A, M)
-        self.ordering = _cached_ordering(A.indptr, A.indices)
-        shifted = sp.csc_matrix(
-            ((A.data - self.sigma * M.data)[self.ordering.gather],
-             self.ordering.indices, self.ordering.indptr),
-            shape=A.shape)
+        ordering = self.ordering = _cached_ordering(A.indptr, A.indices)
+        values = (A.data - self.sigma * M.data)[ordering.gather]
         try:
-            self._lu = splu(shifted, permc_spec="NATURAL")
+            self._lu = _superlu.gstrf(self.n, values.size, values, ordering.indices,
+                                      ordering.indptr, csc_construct_func=_raw_csc,
+                                      ilu=False, options=_GSTRF_OPTIONS)
         except RuntimeError as exc:   # exactly singular pivot
             raise SingularShiftError(
                 f"factorization at shift {sigma:.17g} is singular: {exc}"
             ) from None
-        pivots = np.abs(self._lu.U.diagonal())
-        pivot_max = pivots.max()
-        self.singularity = float(pivots.min() / pivot_max) if pivot_max > 0 else 0.0
+        # U's diagonal; the raw buffers run past the last column's end
+        data, rows, indptr = self._lu.U
+        end = indptr[-1]
+        columns = np.repeat(np.arange(self.n, dtype=rows.dtype), np.diff(indptr))
+        pivots = np.abs(data[:end][rows[:end] == columns])
+        pivot_max = pivots.max(initial=0.0)
+        # a column of U without a stored diagonal has a zero pivot
+        pivot_min = pivots.min() if pivots.size == self.n else 0.0
+        self.singularity = float(pivot_min / pivot_max) if pivot_max > 0 else 0.0
         if pivot_max == 0.0 or self.singularity < _PIVOT_RTOL:
             raise SingularShiftError(
                 f"shift {sigma:.17g} is singular to tolerance "
@@ -201,13 +238,30 @@ def factorize_shifted(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> Factorize
     return FactorizedOperator(A, M, sigma)
 
 
+def matvec(S, x: np.ndarray) -> np.ndarray:
+    """S @ x, bitwise.
+
+    A float CSR matrix times a float vector of its width goes straight to
+    ``_sparsetools.csr_matvec``, the kernel that ``S @ x`` dispatches to;
+    any other operand takes the ``@`` path.
+    """
+    if (getattr(S, "format", None) == "csr" and S.dtype == np.float64
+            and isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.shape == (S.shape[1],)):
+        y = np.zeros(S.shape[0])
+        _sparsetools.csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices, S.data,
+                                x, y)
+        return y
+    return S @ x
+
+
 def m_inner(u: np.ndarray, v: np.ndarray, M: sp.spmatrix) -> float:
     """Weighted inner product u^T M v."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.shape != (M.shape[0],):
         raise ValueError("dimension mismatch in m_inner")
-    return float(u @ (M @ v))
+    return float(u @ matvec(M, v))
 
 
 def m_norm(u: np.ndarray, M: sp.spmatrix) -> float:
@@ -220,4 +274,4 @@ def rayleigh_quotient(A: sp.spmatrix, M: sp.spmatrix, u: np.ndarray) -> float:
     den = m_inner(u, u, M)
     if den == 0.0:
         raise ValueError("Rayleigh quotient of the zero vector")
-    return float(u @ (A @ u)) / den
+    return float(u @ matvec(A, u)) / den

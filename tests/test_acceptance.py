@@ -22,19 +22,17 @@ from mlqmc_eig import (
     default_generating_vector,
     default_levels,
     lattice_point,
-    lattice_points,
     mass_interior,
-    max_nn_distance,
     mc_estimate,
     mlqmc_estimate,
     problem1,
     problem2,
     qmc_single_level,
     smallest_eigenpair_cold,
-    star_discrepancy_bruteforce,
     stiffness_interior,
 )
 from mlqmc_eig.estimators import EstimatorOptions, level_params
+from qmc_diagnostics import lattice_points, max_nn_distance, star_discrepancy_bruteforce
 
 RQ_TOL = 5e-8
 Z = default_generating_vector()

@@ -217,12 +217,14 @@ def coarse_pair_at(problem, y, m=3, s=8):
 
 
 class TestMultigridUpdate:
+    @pytest.mark.parametrize("m", [6, 7])
     @pytest.mark.parametrize("name", ["prob1", "prob2"])
-    def test_matches_direct_update_at_m7(self, name, rng, monkeypatch, request):
+    def test_matches_direct_update(self, name, m, rng, monkeypatch, request):
+        # from h = 1/64 (the cutoff) the update runs MINRES
         problem = request.getfixturevalue(name)
         y = rng.random(16) - 0.5
         coarse, pair = coarse_pair_at(problem, y)
-        fine = build_uniform_mesh(7)
+        fine = build_uniform_mesh(m)
         lam_mg, u_mg, st_mg = two_grid_fine_update(problem, y, coarse, pair, fine, 16)
         monkeypatch.setattr(eigensolver, "_KRYLOV_MIN_DOFS", fine.n_interior + 1)
         lam_lu, u_lu, st_lu = two_grid_fine_update(problem, y, coarse, pair, fine, 16)
@@ -232,6 +234,15 @@ class TestMultigridUpdate:
             == (0, 1, 1)
         assert 0 < st_mg.krylov_iterations <= eigensolver._MINRES_MAX_ITER
         assert (st_lu.factorizations, st_lu.krylov_iterations) == (1, 0)
+
+    def test_stays_direct_below_cutoff(self, prob1, rng):
+        # h = 1/32 is the finest mesh whose update is one factorization
+        y = rng.random(16) - 0.5
+        coarse, pair = coarse_pair_at(prob1, y)
+        fine = build_uniform_mesh(5)
+        _, _, stats = two_grid_fine_update(prob1, y, coarse, pair, fine, 16)
+        assert (stats.factorizations, stats.krylov_iterations) == (1, 0)
+        assert (stats.linear_solves, stats.fine_linear_solves) == (1, 1)
 
     def test_vcycle_is_symmetric_positive_definite(self, prob2):
         mesh = build_uniform_mesh(5)

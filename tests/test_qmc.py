@@ -5,13 +5,11 @@ from mlqmc_eig import (
     GeneratingVector,
     ShiftSet,
     lattice_point,
-    lattice_points,
     load_generating_vector,
-    max_nn_distance,
     shift_and_center,
     shift_average_and_variance,
-    star_discrepancy_bruteforce,
 )
+from qmc_diagnostics import lattice_points, max_nn_distance, star_discrepancy_bruteforce
 
 
 class TestGeneratingVector:

@@ -4,7 +4,8 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from mlqmc_eig import (
     SingularShiftError,
@@ -16,7 +17,9 @@ from mlqmc_eig import (
     smallest_eigenpair_cold,
     stiffness_interior,
 )
-from mlqmc_eig.sparse_linalg import nested_dissection
+from mlqmc_eig import sparse_linalg
+from mlqmc_eig.mesh_fem import prolongation
+from mlqmc_eig.sparse_linalg import matvec, nested_dissection, shifted_operator
 
 
 def random_spd_pair(rng, n=20):
@@ -150,6 +153,127 @@ class TestOrdering:
         assert not any(t.is_alive() for t in threads)
         assert len(orderings) == 80
         assert all(o is orderings[0] for o in orderings)
+
+
+def splu_oracle(A, M, sigma):
+    """The factorization through the public ``splu`` on the same ordered
+    CSC input: (pivot ratio, fill, solve) with the package's pivot test, or
+    None where that test rejects the shift."""
+    ordering = sparse_linalg._cached_ordering(A.indptr, A.indices)
+    shifted = sp.csc_matrix(((A.data - sigma * M.data)[ordering.gather],
+                             ordering.indices, ordering.indptr), shape=A.shape)
+    try:
+        lu = splu(shifted, permc_spec="NATURAL")
+    except RuntimeError:
+        return None
+    pivots = np.abs(lu.U.diagonal())
+    ratio = float(pivots.min() / pivots.max()) if pivots.max() > 0 else 0.0
+    if ratio < sparse_linalg._PIVOT_RTOL:
+        return None
+
+    def solve(b):
+        x = np.empty(b.size)
+        x[ordering.perm] = lu.solve(b[ordering.perm])
+        return x
+    return ratio, lu.nnz, solve
+
+
+@pytest.fixture(scope="module")
+def spectra(prob1, prob2):
+    """(A, M, lambda_1 by the package's cold solve, lambda_2) per problem and mesh."""
+    out = {}
+    for name, problem in (("p1", prob1), ("p2", prob2)):
+        for m in range(3, 7):
+            mesh = build_uniform_mesh(m)
+            y = np.random.default_rng(m).random(16) - 0.5
+            A = stiffness_interior(mesh, problem, y)
+            M = mass_interior(mesh, problem)
+            pair, _ = smallest_eigenpair_cold(A, M, 1e-12)
+            lam2 = eigsh(A.tocsc(), k=2, M=M.tocsc(), sigma=0.0, which="LM",
+                         return_eigenvectors=False).max()
+            out[name, m] = A, M, pair.lam, lam2
+    return out
+
+
+class TestLeanFactorization:
+    """``FactorizedOperator`` calls SuperLU's ``gstrf`` itself and reads the
+    pivots from the raw U buffers; the public ``splu`` is the oracle."""
+
+    def test_gstrf_gets_the_options_of_splu(self, monkeypatch):
+        # splu must still reach gstrf with exactly the options the package
+        # passes; a scipy that renames or reshapes the call fails here
+        calls = []
+        gstrf = _superlu.gstrf
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return gstrf(*args, **kwargs)
+
+        monkeypatch.setattr(_superlu, "gstrf", spy)
+        splu(sp.identity(3, format="csc"), permc_spec="NATURAL")
+        assert len(calls) == 1
+        assert calls[0]["options"] == sparse_linalg._GSTRF_OPTIONS
+        assert calls[0]["ilu"] is False
+
+    @pytest.mark.parametrize("shift", ["zero", "mid_gap", "lambda_1"])
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_matches_splu(self, spectra, name, m, shift, rng):
+        A, M, lam1, lam2 = spectra[name, m]
+        sigma = {"zero": 0.0, "mid_gap": 0.5 * (lam1 + lam2), "lambda_1": lam1}[shift]
+        oracle = splu_oracle(A, M, sigma)
+        try:
+            op = factorize_shifted(A, M, sigma)
+        except SingularShiftError:
+            op = None
+        assert (op is None) == (oracle is None)
+        if shift == "lambda_1" and m == 3:
+            # on the coarsest mesh the computed lambda_1 is singular to tolerance
+            assert op is None
+        if op is None:
+            return
+        ratio, nnz, solve = oracle
+        assert op.singularity == ratio
+        assert op.nnz == nnz
+        b = rng.standard_normal(A.shape[0])
+        assert op.solve(b).tobytes() == solve(b).tobytes()
+
+
+class TestMatvec:
+    @pytest.fixture(scope="class")
+    def operators(self, prob2):
+        coarse, fine = build_uniform_mesh(4), build_uniform_mesh(5)
+        A = stiffness_interior(fine, prob2, np.random.default_rng(3).random(16) - 0.5)
+        M = mass_interior(fine, prob2)
+        P = prolongation(coarse, fine, True)
+        return {"stiffness": A, "mass": M, "prolongation": P,
+                "restriction": P.T.tocsr(), "shifted": shifted_operator(A, M, 3.0)}
+
+    @pytest.mark.parametrize("which", ["stiffness", "mass", "prolongation",
+                                       "restriction", "shifted"])
+    def test_csr_is_bitwise_matmul(self, operators, which, rng):
+        S = operators[which]
+        assert S.format == "csr"
+        x = rng.standard_normal(S.shape[1])
+        assert matvec(S, x).tobytes() == (S @ x).tobytes()
+        strided = rng.standard_normal(2 * S.shape[1])[::2]
+        assert matvec(S, strided).tobytes() == (S @ strided).tobytes()
+
+    def test_other_formats_fall_back_to_matmul(self, rng):
+        # the CSR kernel on CSC arrays would give S^T x; S is not symmetric
+        S = sp.random(30, 30, density=0.2, random_state=4, format="csc") \
+            + sp.identity(30, format="csc")
+        x = rng.standard_normal(30)
+        assert S.format == "csc"
+        assert matvec(S, x).tobytes() == (S @ x).tobytes()
+        assert not np.allclose(matvec(S, x), S.T @ x)
+        D = sp.diags([rng.random(30) + 1.0, rng.random(29)], [0, 1])
+        assert D.format == "dia"
+        assert matvec(D, x).tobytes() == (D @ x).tobytes()
+
+    def test_wrong_width_raises(self):
+        with pytest.raises(ValueError):
+            matvec(sp.identity(3, format="csr"), np.ones(4))
 
 
 class TestInnerProducts:
