@@ -19,10 +19,15 @@ A(y) - lambda_H M, preconditioned by a multigrid V-cycle (Hackbusch
 1985) built once per (mesh, problem) on the mean-field stiffness A(0),
 the cached matrix that ``mesh_fem.stiffness_interior`` returns at y = 0:
 Galerkin coarse operators P^T A P down to h = 1/8 with the ratio-2
-prolongations of ``mesh_fem.prolongation``, two damped-Jacobi sweeps
-before and after each coarse correction, and a dense Cholesky
-factorization on the coarsest mesh.  The V-cycle is symmetric positive
-definite, as MINRES requires of a preconditioner.
+prolongations of ``mesh_fem.prolongation``, one damped-Jacobi sweep
+before and one after each coarse correction, and a dense Cholesky
+factorization on the coarsest mesh.  Each solve rescales that cycle to
+its sample, as S B S with S = diag(A(0))^(1/2) diag(A(y))^(-1/2): the
+mean-based preconditioner of Powell & Elman (2009) with one diagonal
+scaling added, which is exactly B at y = 0.  Both B and S B S are
+symmetric positive definite, as MINRES requires of a preconditioner.
+MINRES itself is ``_minres``, scipy's recurrences and stop tests from
+a zero start with no shift, no printing and in-place vector updates.
 
 The solvers reach scipy through two private entry points, verified on
 scipy 1.17.1 (see ``sparse_linalg``): every factorization is one call of
@@ -36,13 +41,15 @@ oracle tests in ``tests/test_sparse_linalg.py`` pin both to the public
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.linalg.lapack import dpotrs
 
 from .mesh_fem import (
     TriMesh,
@@ -77,13 +84,17 @@ _MAX_RESTARTS = 2
 # 2-core host, direct vs MINRES: 2.2-2.6 vs 2.7-3.2 ms at h = 1/32 and
 # 56-64 vs 24-32 ms at 1/128 in three runs; 9.1-15.4 vs 6.5-10.5 ms at
 # 1/64 in eight runs, MINRES ahead in seven and level in one.  The two
-# eigenvalues agree to 1.4e-14 relative
+# eigenvalues agree to 1.4e-14 relative.  With the rescaled one-sweep
+# cycle, three runs at h = 1/32 give 2.3-3.7 vs 1.7-2.7 ms (Problem 1)
+# and 2.9-3.2 vs 2.3-3.3 ms (Problem 2, MINRES ahead in two), with the
+# eigenvalues 1.6e-15 and 9.9e-14 apart: the crossover is now at 1/32
+# or below.  A cutoff at 31^2 would move Problem 2 estimates made at
+# h = 1/32 by more than roundoff of the direct path
 _KRYLOV_MIN_DOFS = 63 ** 2
 # a looser tolerance moves the fine eigenvalue by up to 2.4e-12 relative
 _MINRES_RTOL = 1e-12
 _MINRES_MAX_ITER = 200
 _JACOBI_OMEGA = 0.8
-_JACOBI_SWEEPS = 2
 _COARSEST_EXPONENT = 3
 
 
@@ -294,29 +305,30 @@ class _VCycle:
     and the restriction R_k = P_k^T, stored as CSR (its mat-vec sums in
     the same order as that of P_k.T); A_(k+1) = P_k^T A_k P_k.  A_0 is
     the cached A(0) of ``stiffness_interior``, so a two-grid update at
-    y = 0 and its V-cycle share one matrix.  ``apply`` approximates
-    A_0^-1 r.
+    y = 0 and its V-cycle share one matrix; ``diagonal`` is diag(A_0).
+    ``apply`` approximates A_0^-1 r with one Jacobi sweep on each side
+    of every coarse correction: the two smoothers are adjoint, so the
+    cycle is symmetric, and with omega = 0.8 positive definite.
     """
 
     def __init__(self, mesh: TriMesh, problem: CoefficientSeries):
         A = stiffness_interior(mesh, problem, np.zeros(0))
+        self.diagonal = A.diagonal()
         self.levels = []
         for m in range(mesh.level_exponent, _COARSEST_EXPONENT, -1):
             P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m), True)
             self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T.tocsr()))
             A = (P.T @ A @ P).tocsr()
-        self.coarsest = scipy.linalg.cho_factor(A.toarray())
+        # dpotrs is the LAPACK call of scipy.linalg.cho_solve, bitwise
+        self.coarsest, self.lower = scipy.linalg.cho_factor(A.toarray())
 
     def apply(self, r: np.ndarray, k: int = 0) -> np.ndarray:
         if k == len(self.levels):
-            return scipy.linalg.cho_solve(self.coarsest, r)
+            return dpotrs(self.coarsest, r, lower=self.lower)[0]
         A, inv_diag, P, R = self.levels[k]
         x = inv_diag * r
-        for _ in range(_JACOBI_SWEEPS - 1):
-            x += inv_diag * (r - matvec(A, x))
         x += matvec(P, self.apply(matvec(R, r - matvec(A, x)), k + 1))
-        for _ in range(_JACOBI_SWEEPS):
-            x += inv_diag * (r - matvec(A, x))
+        x += inv_diag * (r - matvec(A, x))
         return x
 
 
@@ -325,24 +337,88 @@ def _vcycle(mesh: TriMesh, problem: CoefficientSeries) -> _VCycle:
     return _VCycle(mesh, problem)
 
 
-def _minres_solve(K: sp.csr_matrix, b: np.ndarray, mesh: TriMesh,
+def _minres(K: sp.csr_matrix, b: np.ndarray,
+            precondition: Callable[[np.ndarray], np.ndarray]
+            ) -> tuple[np.ndarray, int, bool]:
+    """K x = b by preconditioned MINRES from x = 0: (x, iterations, converged).
+
+    The recurrences and stop tests of ``scipy.sparse.linalg.minres``
+    (itself a translation of Paige & Saunders' MATLAB code) at
+    ``rtol=_MINRES_RTOL``, ``maxiter=_MINRES_MAX_ITER`` and no shift:
+    it stops on either rtol test, on the cond(K) and machine-precision
+    exits, or after one step when b spans a preconditioned eigenvector;
+    ``converged`` is False only when none of them fired by the cap.
+    ``precondition`` must return a new array: the Lanczos vector is
+    scaled in place.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    r1 = r2 = b.copy()
+    y = precondition(r1)
+    beta1 = float(r1 @ y)
+    if beta1 < 0.0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0.0:
+        return x, 0, True
+    beta = beta1 = math.sqrt(beta1)
+    oldb = dbar = epsln = tnorm2 = gmax = 0.0
+    gmin = np.finfo(float).max
+    phibar, cs, sn = beta1, -1.0, 0.0
+    w, w1, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    for itn in range(1, _MINRES_MAX_ITER + 1):
+        v = y   # the next Lanczos vector, scaled in place
+        v *= 1.0 / beta
+        y = matvec(K, v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(v @ y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, float(r2 @ y)
+        if beta < 0.0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
+        eigenvector = itn == 1 and beta / beta1 <= 10 * eps
+        # previous rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # w = (v - oldeps w1 - delta w2) / gamma into the oldest buffer
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=w)
+        np.subtract(v, w, out=w)
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        Anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(x @ x)
+        test1 = phibar / (Anorm * ynorm) if ynorm and Anorm else math.inf
+        test2 = root / Anorm if Anorm else math.inf
+        if (eigenvector or min(test1, test2) <= _MINRES_RTOL or 1.0 + test1 <= 1.0
+                or 1.0 + test2 <= 1.0 or gmax / gmin >= 0.1 / eps
+                or Anorm * ynorm * eps >= beta1):
+            return x, itn, True
+    return x, _MINRES_MAX_ITER, False
+
+
+def _minres_solve(A: sp.csr_matrix, K: sp.csr_matrix, b: np.ndarray, mesh: TriMesh,
                   problem: CoefficientSeries, stats: SolveStats) -> np.ndarray:
-    """K x = b by MINRES with the mesh's V-cycle as preconditioner."""
+    """K x = b by MINRES with the mesh's V-cycle, rescaled to A = A(y), as preconditioner."""
     vcycle = _vcycle(mesh, problem)
-    n = K.shape[0]
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    # with no dtype, LinearOperator would probe it by one product (a V-cycle)
-    x, info = minres(LinearOperator((n, n), matvec=lambda v: matvec(K, v), dtype=float),
-                     b, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER,
-                     M=LinearOperator((n, n), matvec=vcycle.apply, dtype=float),
-                     callback=count)
+    # diag(A(y)) > 0 by the coefficient bound; the scale is 1.0 at y = 0
+    scale = np.sqrt(vcycle.diagonal / A.diagonal())
+    x, iterations, converged = _minres(K, b, lambda r: scale * vcycle.apply(scale * r))
     stats.krylov_iterations += iterations
-    if info != 0:
+    if not converged:
         residual = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
         raise NoConvergenceError(
             f"MINRES did not converge in {iterations} iterations on {mesh!r} "
@@ -372,7 +448,7 @@ def two_grid_fine_update(problem: CoefficientSeries, y: np.ndarray,
     if fine_mesh.n_interior < _KRYLOV_MIN_DOFS:
         u = _factorize_nudged(A, M, coarse_pair.lam, stats).solve(b)
     else:
-        u = _minres_solve(shifted_operator(A, M, coarse_pair.lam), b, fine_mesh,
+        u = _minres_solve(A, shifted_operator(A, M, coarse_pair.lam), b, fine_mesh,
                           problem, stats)
     stats.linear_solves += 1
     stats.fine_linear_solves += 1

@@ -196,7 +196,11 @@ class _Geometry:
         nnz = self.indices.size
         data = np.bincount(self.slots, weights=vals.ravel(), minlength=nnz + 1)[:nnz]
         dim = self.mesh.n_interior
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+        # the constructor keeps a view of indices; hold the mesh's own array,
+        # so every matrix of the mesh shares its pattern by identity
+        mat.indices = self.indices
+        return mat
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +283,8 @@ def _stiffness(mesh: TriMesh, problem: CoefficientSeries, a_q: np.ndarray,
             f"{problem.name}: a(x, y) = {worst:g} <= 0 at a quadrature node"
         )
     geo = _geometry(mesh)
-    cell = (geo.area / 3.0) * a_q.reshape(-1, 3).sum(axis=1)
+    # left to right, bitwise the sum over a length-3 axis
+    cell = (geo.area / 3.0) * (a_q[0::3] + a_q[1::3] + a_q[2::3])
     return geo.assemble(cell, b_q)
 
 

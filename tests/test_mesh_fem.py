@@ -285,6 +285,19 @@ class TestPattern:
         # every entry with a boundary row or column goes to the extra bin
         assert np.all(geo.slots[~keep] == indices.size)
 
+    def test_matrices_hold_the_mesh_pattern_by_identity(self, prob1, prob2):
+        # every matrix of a mesh holds the geometry's own index arrays, so
+        # a pair on one pattern is recognised by identity
+        mesh = build_uniform_mesh(4)
+        geo = mesh_fem._geometry(mesh)
+        y = np.random.default_rng(4).random(8) - 0.5
+        for problem in (prob1, prob2):
+            for mat in (stiffness_interior(mesh, problem, y),
+                        stiffness_interior(mesh, problem, np.zeros(0)),
+                        mass_interior(mesh, problem)):
+                assert mat.indices is geo.indices and mat.indptr is geo.indptr
+                assert mat.has_canonical_format
+
     def test_geometry_peak_memory_within_3x_retained(self):
         mesh = build_uniform_mesh(8)
         tracemalloc.start()
@@ -507,6 +520,22 @@ class TestGridCoefficients:
         c = problem.c((pts[:, 0], pts[:, 1]))
         assert np.array_equal(bits(mass_interior(mesh, problem).data),
                               bits(mesh_fem._geometry(mesh).assemble(None, c).data))
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem2()], ids=["p1", "p2"])
+    def test_cell_sums_match_the_axis_sum_bitwise(self, problem, m):
+        # the stiffness adds the three node values of a cell left to right,
+        # as numpy's sum over a length-3 axis does
+        mesh = build_uniform_mesh(m)
+        geo = mesh_fem._geometry(mesh)
+        tab = mesh_fem._tables(mesh, problem, 16)
+        y = np.random.default_rng(m).random(16) - 0.5
+        a, b = tab.a_at_quad(y), tab.b_at_quad(y)
+        axis_sum = a.reshape(-1, 3).sum(axis=1)
+        assert np.array_equal(bits(a[0::3] + a[1::3] + a[2::3]), bits(axis_sum))
+        expected = geo.assemble((geo.area / 3.0) * axis_sum, b)
+        assert np.array_equal(bits(stiffness_interior(mesh, problem, y).data),
+                              bits(expected.data))
 
     @pytest.mark.parametrize("m", range(3, 10))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
