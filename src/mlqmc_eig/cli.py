@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -188,10 +188,11 @@ class ExperimentConfig:
 
         if config.estimator in ("qmc", "mlqmc") and config.n_shifts < 2:
             raise ConfigError("QMC estimators need R >= 2")
-        points = {"mlqmc": config.level_points, "qmc": [config.n_points]}
+        points = {"mlqmc": config.level_points, "mlmc": config.level_points,
+                  "qmc": [config.n_points]}
         if any(n & (n - 1) for n in points.get(config.estimator, [])):
-            raise ConfigError(f"{config.estimator} needs powers of 2 as points per "
-                              f"shift, got {points[config.estimator]}")
+            raise ConfigError(f"{config.estimator} needs powers of 2 as sample counts, "
+                              f"got {points[config.estimator]}")
         study = config.study
         if study.mode == "two_grid" and (study.coarse_exponent > min(study.exponents)
                                          or study.coarse_s > config.s):
@@ -423,20 +424,12 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
         for kind in kinds:
             if kind == "mlqmc":
                 rep = base
-            elif kind == "mlmc":
-                rep = _grow(lambda counts: mlmc_estimate(
-                    problem, counts, config.seed, s=config.s,
-                    s_policy=config.s_policy, rq_tol=config.options.rq_tol),
-                    [16] * (finest + 1), var_target, 1 << 22)
-            elif kind == "qmc":
-                rep = _grow(lambda counts: qmc_single_level(
-                    problem, 3 + finest, config.s, counts[0], config.n_shifts, z,
-                    config.seed, options=config.options, max_workers=config.threads),
-                    [16], var_target, z.n_max)
             else:
-                rep = _grow(lambda counts: mc_estimate(
-                    problem, 3 + finest, config.s, counts[0], config.seed,
-                    rq_tol=config.options.rq_tol), [16], var_target, 1 << 22)
+                rep = _grow(lambda counts: _run_one(replace(
+                    config, estimator=kind, mesh_exponent=3 + finest,
+                    level_points=counts, n_points=counts[0]), problem, z),
+                    [16] * (finest + 1 if kind == "mlmc" else 1), var_target,
+                    z.n_max if kind == "qmc" else 1 << 22)
             if rep is None:
                 status = 1
                 continue

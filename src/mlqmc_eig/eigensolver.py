@@ -316,7 +316,7 @@ class _VCycle:
         self.diagonal = A.diagonal()
         self.levels = []
         for m in range(mesh.level_exponent, _COARSEST_EXPONENT, -1):
-            P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m), True)
+            P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m))
             self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T.tocsr()))
             A = (P.T @ A @ P).tocsr()
         # dpotrs is the LAPACK call of scipy.linalg.cho_solve, bitwise

@@ -32,9 +32,9 @@ term by term on the grids on every call (``CoefficientSeries.a_values``),
 which skips the zero entries of y.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
-``prolongation``, built once from the interpolation stencil: on the
-nodes for ``prolongate`` of nodal vectors, on the interior DOFs for the
-two-grid start vector and the multigrid hierarchy of ``eigensolver``.
+``prolongation``, built once from the interpolation stencil on the
+interior DOFs, for the two-grid start vector and the multigrid
+hierarchy of ``eigensolver``.
 """
 
 from __future__ import annotations
@@ -312,8 +312,8 @@ def mass_interior(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=None)
-def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matrix:
-    """Matrix that evaluates coarse piecewise-linear functions at the fine nodes.
+def prolongation(coarse: TriMesh, fine: TriMesh) -> sp.csr_matrix:
+    """Matrix that evaluates coarse piecewise-linear functions at the fine DOFs.
 
     Both meshes must belong to the uniform family with the coarse
     intervals dividing the fine ones; the interpolation respects the
@@ -322,8 +322,8 @@ def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matri
     weights 1-xi, xi-eta, eta of (v00, v10, v11) in the lower triangle
     (xi >= eta) and 1-eta, eta-xi, xi of (v00, v01, v11) in the upper
     one.  Columns ascend in every row, so a mat-vec sums the vertex
-    values in that order.  With ``interior`` the matrix maps interior
-    DOFs to interior DOFs (zero boundary values), else nodes to nodes.
+    values in that order.  The matrix maps interior DOFs to interior
+    DOFs: boundary values are zero, so boundary columns are dropped.
     Zero weights are not stored; the matrix is cached and read-only.
     """
     if fine.n_per_side % coarse.n_per_side:
@@ -334,8 +334,8 @@ def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matri
     ratio = fine.n_per_side // coarse.n_per_side
     nf, nc = fine.n_per_side, coarse.n_per_side
 
-    idx = np.arange(nf + 1)
-    cell = np.minimum(idx // ratio, nc - 1)
+    idx = np.arange(1, nf)                            # interior rows/columns
+    cell = idx // ratio
     frac = idx / ratio - cell
     cell_c, cell_r = np.meshgrid(cell, cell)          # column/row cell index
     xi, eta = np.meshgrid(frac, frac)                 # local coords in the cell
@@ -347,13 +347,10 @@ def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matri
     weights = np.column_stack([np.where(lower, 1.0 - xi, 1.0 - eta),
                                np.where(lower, xi - eta, eta - xi),
                                np.where(lower, eta, xi)])
-    rows = np.repeat(np.arange(fine.n_nodes), 3)
-    cols, weights = cols.ravel(), weights.ravel()
-    shape = (fine.n_nodes, coarse.n_nodes)
-    if interior:
-        rows, cols = fine.interior_index[rows], coarse.interior_index[cols]
-        shape = (fine.n_interior, coarse.n_interior)
-    keep = (weights != 0.0) & (rows >= 0) & (cols >= 0)
+    rows = np.repeat(np.arange(fine.n_interior), 3)
+    cols, weights = coarse.interior_index[cols.ravel()], weights.ravel()
+    keep = (weights != 0.0) & (cols >= 0)
+    shape = (fine.n_interior, coarse.n_interior)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=shape[0]))))
     mat = sp.csr_matrix((weights[keep], cols[keep], indptr), shape=shape)
     mat.data.setflags(write=False)
@@ -361,14 +358,13 @@ def prolongation(coarse: TriMesh, fine: TriMesh, interior: bool) -> sp.csr_matri
 
 
 def prolongate(u_coarse: np.ndarray, coarse: TriMesh, fine: TriMesh) -> np.ndarray:
-    """The coarse piecewise-linear function at the fine nodes: ``P @ u``.
+    """The coarse piecewise-linear function at the fine DOFs: ``P @ u``.
 
-    ``u_coarse`` holds either the values at every coarse node or those
-    at the interior DOFs (zero boundary values); the result is the same
-    kind of vector on the fine mesh (see ``prolongation``).
+    ``u_coarse`` holds the values at the interior DOFs of the coarse
+    mesh (zero boundary values); the result holds those at the interior
+    DOFs of the fine mesh (see ``prolongation``).
     """
     u_coarse = np.asarray(u_coarse, dtype=float)
-    if u_coarse.shape not in ((coarse.n_nodes,), (coarse.n_interior,)):
+    if u_coarse.shape != (coarse.n_interior,):
         raise ValueError("coarse vector has wrong length")
-    interior = u_coarse.size == coarse.n_interior
-    return prolongation(coarse, fine, interior) @ u_coarse
+    return prolongation(coarse, fine) @ u_coarse

@@ -12,9 +12,10 @@ has the mesh's pattern, and a pair on two different patterns is
 rejected with ``ValueError``.  The fill-reducing ordering is therefore
 built once per pattern, on its first factorization, and kept with the
 gather that takes values on the CSR pattern to the permuted CSC
-pattern.  For a pair on the k x k interior grid the ordering is a
-geometric nested dissection (George 1973); for any other pattern it is
-the identity.  Each factorization is then one subtraction of value
+pattern.  It is found again by the identity of the pattern's index
+arrays, which every matrix of a mesh holds, not by their values.  For a
+pair on the k x k interior grid the ordering is a geometric nested
+dissection (George 1973); for any other pattern it is the identity.  Each factorization is then one subtraction of value
 arrays, one gather and one call of SuperLU's ``gstrf``, which keeps the
 given column order.  Where the two-grid update solves iteratively
 instead (see ``eigensolver``), ``shifted_operator`` forms A - sigma*M by
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,49 +114,33 @@ class _Ordering:
         self.indices = rows[self.gather].astype(np.int32)
         self.indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(np.int32)
-        # the cache is keyed by the memory of the source pattern: hold it
+        # the cache is keyed by the identity of the source pattern: holding
+        # it keeps those ids from being reused while the entry lives
         self.source = (indptr, indices)
 
 
-_orderings: OrderedDict[tuple, _Ordering] = OrderedDict()
+_orderings: dict[tuple[int, int], _Ordering] = {}
 _orderings_lock = threading.Lock()
-# (indptr, indices, ordering) of the last lookup; the steps of one
-# eigensolve factorize the same matrix, so they find it by identity
-_last_lookup: tuple = (None, None, None)
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or (a.shape == b.shape
-                      and (_address(a) == _address(b) or np.array_equal(a, b)))
 
 
 def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
     """Ordering of a canonical CSR pattern shared by A and M, built once.
 
-    Patterns are recognised by the memory of their index arrays, so the
-    matrices of one mesh, which share the mesh's pattern arrays, find
-    the ordering its first factorization built.
+    Patterns are recognised by the identity of their index arrays, so the
+    matrices of one mesh, which hold the mesh's pattern arrays, find the
+    ordering its first factorization built.  The oldest of more than
+    ``_ORDERINGS_KEPT`` orderings is dropped.
     """
-    global _last_lookup
+    key = (id(indptr), id(indices))
     with _orderings_lock:
-        if indptr is _last_lookup[0] and indices is _last_lookup[1]:
-            return _last_lookup[2]
-        key = (indptr.size, indices.size, _address(indptr), _address(indices))
         ordering = _orderings.get(key)
-        if ordering is not None:
-            _orderings.move_to_end(key)
-        else:
+        if ordering is None:
             n = indptr.size - 1
             k = math.isqrt(n)
             perm = nested_dissection(k) if k * k == n else np.arange(n)
             ordering = _orderings[key] = _Ordering(indptr, indices, perm)
             if len(_orderings) > _ORDERINGS_KEPT:
-                _orderings.popitem(last=False)
-        _last_lookup = (indptr, indices, ordering)
+                del _orderings[next(iter(_orderings))]
         return ordering
 
 
@@ -164,7 +148,8 @@ def _on_one_pattern(A: sp.spmatrix, M: sp.spmatrix):
     """A and M as CSR matrices; ValueError unless they share one canonical pattern."""
     A, M = A.tocsr(), M.tocsr()
     if not (A.has_canonical_format and M.has_canonical_format
-            and _same_array(A.indptr, M.indptr) and _same_array(A.indices, M.indices)):
+            and all(a is b or np.array_equal(a, b)
+                    for a, b in ((A.indptr, M.indptr), (A.indices, M.indices)))):
         raise ValueError("A and M must share one canonical CSR pattern")
     return A, M
 

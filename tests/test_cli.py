@@ -15,7 +15,13 @@ from mlqmc_eig.cli import (
     main,
     run_experiment,
 )
-from mlqmc_eig.estimators import LevelReport, MlqmcReport
+from mlqmc_eig.estimators import (
+    LevelReport,
+    MlqmcReport,
+    mc_estimate,
+    mlmc_estimate,
+    qmc_single_level,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -39,6 +45,8 @@ MALFORMED = [
     pytest.param({"options": {"two_grid": "false"}}, "two_grid", id="bool-as-string"),
     pytest.param({"R": "abc"}, "'R'", id="int-as-string"),
     pytest.param({"levels": [3, 2]}, "powers of 2", id="mlqmc-levels-not-pow2"),
+    pytest.param({"estimator": "mlmc", "levels": [6, 3]}, "powers of 2",
+                 id="mlmc-levels-not-pow2"),
     pytest.param({"estimator": "qmc", "N": 3}, "powers of 2", id="qmc-n-not-pow2"),
     pytest.param({"s": 0}, "'s'", id="zero-dimension"),
     pytest.param({"options": []}, "'options'", id="options-not-object"),
@@ -316,6 +324,38 @@ class TestCompare:
         rows = (Path(cfg.out_dir) / "cost_vs_tolerance.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2
         assert rows[1].split(",")[1] == "mlqmc"
+
+    def test_baselines_are_the_estimators_at_the_grown_counts(self, tmp_path, monkeypatch):
+        # each baseline row is the estimate of a direct estimator call at the
+        # counts that _grow reached, on the adaptive run's finest mesh
+        grown = []
+        grow = cli._grow
+
+        def spy(*args):
+            grown.append(grow(*args))
+            return grown[-1]
+        monkeypatch.setattr(cli, "_grow", spy)
+        kinds = ["mlqmc", "qmc", "mlmc", "mc"]
+        path = write_config(tmp_path, tolerances=[0.2], estimators=kinds, R=4)
+        assert main(["compare", "--config", str(path)]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        rows = [row.split(",") for row in
+                (Path(cfg.out_dir) / "cost_vs_tolerance.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["0.2", kind] for kind in kinds]
+
+        qmc_rep, mlmc_rep, mc_rep = grown
+        assert qmc_rep.levels[0].h == mlmc_rep.levels[-1].h == mc_rep.levels[0].h
+        m = round(-np.log2(qmc_rep.levels[0].h))
+        problem, z = cfg.problem(), cfg.vector()
+        direct = [
+            qmc_single_level(problem, m, cfg.s, qmc_rep.levels[0].n_points, cfg.n_shifts,
+                             z, cfg.seed, options=cfg.options, max_workers=cfg.threads),
+            mlmc_estimate(problem, [lv.n_points for lv in mlmc_rep.levels], cfg.seed,
+                          s=cfg.s, s_policy=cfg.s_policy, rq_tol=cfg.options.rq_tol),
+            mc_estimate(problem, m, cfg.s, mc_rep.levels[0].n_points, cfg.seed,
+                        rq_tol=cfg.options.rq_tol),
+        ]
+        assert [row[4] for row in rows[1:]] == [repr(rep.estimate) for rep in direct]
 
     def test_later_tolerance_at_level_cap_keeps_achieved(self, tmp_path):
         path = write_config(tmp_path, tolerances=[0.625, 0.05], R=4, max_level=1,

@@ -580,6 +580,18 @@ def stencil_prolongate(u_coarse, coarse, fine):
     return np.where(xi >= eta, lower, upper)
 
 
+def interior_coords(mesh):
+    """Coordinates of the interior DOFs, (n_interior, 2), in DOF order."""
+    return mesh_nodes(mesh)[interior_nodes(mesh)]
+
+
+def away_from_boundary(coarse, fine):
+    """Which fine DOFs lie in [H, 1 - H]^2: every coarse vertex that such a
+    DOF is interpolated from is a coarse DOF."""
+    pts = interior_coords(fine)
+    return np.all((pts >= coarse.h) & (pts <= 1.0 - coarse.h), axis=1)
+
+
 class TestProlongate:
     @pytest.mark.parametrize("mc, mf", [(mc, mf) for mc in (1, 2, 3)
                                         for mf in range(mc, min(mc + 6, 7) + 1)])
@@ -587,40 +599,47 @@ class TestProlongate:
         coarse, fine = build_uniform_mesh(mc), build_uniform_mesh(mf)
         rng = np.random.default_rng(8 * mc + mf)
         for _ in range(20):
-            u = rng.standard_normal(coarse.n_nodes)
+            u = rng.standard_normal(coarse.n_interior)
             assert prolongate(u, coarse, fine).tobytes() == \
-                stencil_prolongate(u, coarse, fine).tobytes()
-            u_int = rng.standard_normal(coarse.n_interior)
-            assert prolongate(u_int, coarse, fine).tobytes() == \
-                restrict_vec(fine, stencil_prolongate(embed(coarse, u_int), coarse,
+                restrict_vec(fine, stencil_prolongate(embed(coarse, u), coarse,
                                                       fine)).tobytes()
 
     def test_constant_preserved(self):
+        # the rows of P sum to 1 where no coarse boundary vertex takes part;
+        # elsewhere the zero boundary values pull the constant down
         coarse, fine = build_uniform_mesh(2), build_uniform_mesh(4)
-        out = prolongate(np.full(coarse.n_nodes, 3.7), coarse, fine)
-        assert np.allclose(out, 3.7)
+        out = prolongate(np.full(coarse.n_interior, 3.7), coarse, fine)
+        inner = away_from_boundary(coarse, fine)
+        assert np.allclose(out[inner], 3.7)
+        assert out[~inner].max() < 3.7
 
     def test_identity_when_same_mesh(self):
         mesh = build_uniform_mesh(3)
-        u = np.arange(mesh.n_nodes, dtype=float)
+        u = np.arange(mesh.n_interior, dtype=float)
         assert np.array_equal(prolongate(u, mesh, mesh), u)
 
     def test_linear_function_exact(self):
         coarse, fine = build_uniform_mesh(2), build_uniform_mesh(4)
         f = lambda pts: pts[:, 0] + pts[:, 1]
-        out = prolongate(f(mesh_nodes(coarse)), coarse, fine)
-        assert np.allclose(out, f(mesh_nodes(fine)), atol=1e-15)
+        out = prolongate(f(interior_coords(coarse)), coarse, fine)
+        inner = away_from_boundary(coarse, fine)
+        assert np.allclose(out[inner], f(interior_coords(fine))[inner], atol=1e-15)
 
     def test_max_norm_preserved_for_linears(self):
         coarse, fine = build_uniform_mesh(3), build_uniform_mesh(5)
-        nodes = mesh_nodes(coarse)
+        nodes = interior_coords(coarse)
         vals = 2.0 * nodes[:, 0] - nodes[:, 1]
         out = prolongate(vals, coarse, fine)
         assert np.abs(out).max() == pytest.approx(np.abs(vals).max(), abs=1e-15)
+        # a coarse hat function peaks at 1, at its own vertex
+        for i in (0, coarse.n_interior // 2, coarse.n_interior - 1):
+            hat = prolongate(np.eye(coarse.n_interior)[i], coarse, fine)
+            assert hat.max() == 1.0 and hat.min() == 0.0
 
     def test_rejects_non_nested(self):
         finer, coarser = build_uniform_mesh(3), build_uniform_mesh(2)
-        with pytest.raises(ValueError):
-            prolongate(np.zeros(finer.n_nodes), finer, coarser)
-        with pytest.raises(ValueError):
-            prolongate(np.zeros(5), coarser, finer)
+        with pytest.raises(ValueError, match="nested"):
+            prolongate(np.zeros(finer.n_interior), finer, coarser)
+        for wrong in (np.zeros(5), np.zeros(coarser.n_nodes)):    # nodal too
+            with pytest.raises(ValueError, match="length"):
+                prolongate(wrong, coarser, finer)

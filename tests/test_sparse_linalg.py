@@ -122,13 +122,33 @@ class TestOrdering:
         res = (A - sigma * M) @ op.solve(b) - b
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
 
-    def test_ordering_built_once_per_mesh(self, prob1, rng):
+    def test_ordering_built_once_per_mesh(self, prob1, rng, monkeypatch):
         mesh = build_uniform_mesh(5)
         M = mass_interior(mesh, prob1)
         first = factorize_shifted(stiffness_interior(mesh, prob1, rng.random(8) - 0.5), M, 1.0)
         second = factorize_shifted(stiffness_interior(mesh, prob1, rng.random(8) - 0.5), M, 2.0)
         assert second.ordering is first.ordering
         assert not np.array_equal(first.ordering.perm, np.arange(mesh.n_interior))
+
+        # a level sample alternates between its two meshes at fresh y: from an
+        # empty cache each mesh builds one ordering and then finds it again
+        built = []
+
+        class Counted(sparse_linalg._Ordering):
+            def __init__(self, indptr, indices, perm):
+                built.append(indptr.size - 1)
+                super().__init__(indptr, indices, perm)
+        monkeypatch.setattr(sparse_linalg, "_Ordering", Counted)
+        monkeypatch.setattr(sparse_linalg, "_orderings", {})
+        orderings = {3: [], 5: []}
+        for m in (3, 5, 3, 5):
+            mesh = build_uniform_mesh(m)
+            A = stiffness_interior(mesh, prob1, rng.random(8) - 0.5)
+            orderings[m].append(factorize_shifted(A, mass_interior(mesh, prob1), 1.0).ordering)
+        assert sorted(built) == [build_uniform_mesh(m).n_interior for m in (3, 5)]
+        for m, found in orderings.items():
+            assert found[1] is found[0]
+            assert found[0].perm.size == build_uniform_mesh(m).n_interior
 
     def test_threads_share_one_ordering(self, prob1):
         # a pattern no factorization has seen yet, factored from several
@@ -245,7 +265,7 @@ class TestMatvec:
         coarse, fine = build_uniform_mesh(4), build_uniform_mesh(5)
         A = stiffness_interior(fine, prob2, np.random.default_rng(3).random(16) - 0.5)
         M = mass_interior(fine, prob2)
-        P = prolongation(coarse, fine, True)
+        P = prolongation(coarse, fine)
         return {"stiffness": A, "mass": M, "prolongation": P,
                 "restriction": P.T.tocsr(), "shifted": shifted_operator(A, M, 3.0)}
 
