@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .estimators import (
+    RQ_TOL,
     EstimatorOptions,
     MaxLevelExceededError,
     MlqmcReport,
@@ -119,7 +120,6 @@ _SCHEMA = (
     _Key("max_level", "max_level", int, 6, _POSITIVE),
     _Key("out_dir", "out_dir", str, "results"),
     _Key("generating_vector", "generating_vector", str, ""),   # "": the built-in one
-    _Key("rq_tol", "options.rq_tol", float, 5e-8, _POSITIVE),
     _Key("options.two_grid", "options.two_grid", bool, True),
     _Key("options.warm_start", "options.warm_start", bool, True),
     _Key("study.mode", "study.mode", str, "direct",
@@ -193,6 +193,10 @@ class ExperimentConfig:
         if any(n & (n - 1) for n in points.get(config.estimator, [])):
             raise ConfigError(f"{config.estimator} needs powers of 2 as sample counts, "
                               f"got {points[config.estimator]}")
+        iid = {"mc": [config.n_points], "mlmc": config.level_points}.get(config.estimator)
+        if iid and min(iid) < 2:
+            raise ConfigError(f"{config.estimator} needs at least 2 samples per level "
+                              f"for a variance estimate, got {iid}")
         study = config.study
         if study.mode == "two_grid" and (study.coarse_exponent > min(study.exponents)
                                          or study.coarse_s > config.s):
@@ -226,17 +230,19 @@ class ExperimentConfig:
             raise ConfigError(f"'generating_vector': {exc}") from None
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(out: Path, artifacts: dict) -> None:
+    """Write each serialized artifact, by file name, write-then-rename."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        fd, tmp = tempfile.mkstemp(dir=out, prefix=name + ".")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out / name)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def _csv_text(rows) -> str:
@@ -259,7 +265,7 @@ def _run_one(config: ExperimentConfig, problem, z, tolerance=None,
                               max_workers=config.threads, evaluated=evaluated)
     if config.estimator == "mc":
         return mc_estimate(problem, config.mesh_exponent, config.s,
-                           config.n_points, config.seed, rq_tol=config.options.rq_tol)
+                           config.n_points, config.seed)
     if config.estimator == "qmc":
         return qmc_single_level(problem, config.mesh_exponent, config.s,
                                 config.n_points, config.n_shifts, z, config.seed,
@@ -268,8 +274,7 @@ def _run_one(config: ExperimentConfig, problem, z, tolerance=None,
         if not config.level_points:
             raise ConfigError("mlmc needs a 'levels' list of sample counts")
         return mlmc_estimate(problem, config.level_points, config.seed,
-                             s=config.s, s_policy=config.s_policy,
-                             rq_tol=config.options.rq_tol)
+                             s=config.s, s_policy=config.s_policy)
     if not config.level_points:
         raise ConfigError("mlqmc needs 'tolerances' or a 'levels' list of N values")
     levels = default_levels(config.level_points, s=config.s, s_policy=config.s_policy)
@@ -335,9 +340,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     payload = [
         {"tolerance": eps, "report": rep.to_dict()} for eps, rep in reports
     ]
-    _atomic_write(out / "report.json", json.dumps(payload, indent=2) + "\n")
-    _atomic_write(out / "levels.csv", _csv_text(level_rows))
-    _atomic_write(out / "cost_vs_tolerance.csv", _csv_text(cost_rows))
+    # serialized before the first write; strict JSON refuses a NaN or infinity
+    _write(out, {"report.json": json.dumps(payload, indent=2, allow_nan=False) + "\n",
+                 "levels.csv": _csv_text(level_rows),
+                 "cost_vs_tolerance.csv": _csv_text(cost_rows)})
     return 0 if achieved else 1
 
 
@@ -357,11 +363,10 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
     problem = config.problem()
     exponents = config.study.exponents
     y = np.zeros(config.s)
-    tol = config.options.rq_tol
 
     def cold(mesh, s):
         A = stiffness_interior(mesh, problem, y[:s])
-        return smallest_eigenpair_cold(A, mass_interior(mesh, problem), tol)[0]
+        return smallest_eigenpair_cold(A, mass_interior(mesh, problem), RQ_TOL)[0]
 
     if config.study.mode == "direct":
         lams = [cold(build_uniform_mesh(m), config.s).lam for m in exponents]
@@ -385,7 +390,6 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
 
     rows = [list(STUDY_CSV_COLUMNS)]
     rows += [[repr(h), repr(lam), repr(err)] for h, lam, err in zip(hs, lams, errors)]
-    _atomic_write(out / "study.csv", _csv_text(rows))
     summary = {
         "mode": config.study.mode,
         "reference": reference,
@@ -393,7 +397,8 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
         "h": hs,
         "lambda_h": lams,
     }
-    _atomic_write(out / "study_summary.json", json.dumps(summary, indent=2) + "\n")
+    _write(out, {"study.csv": _csv_text(rows),
+                 "study_summary.json": json.dumps(summary, indent=2, allow_nan=False) + "\n"})
     return summary
 
 
@@ -408,12 +413,14 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
     level cap, whose rows are then left out; the first tolerance at the
     cap writes nothing, as in ``run_experiment``.
     """
+    if not config.tolerances:
+        raise ConfigError("compare needs a 'tolerances' list")
+    if config.n_shifts < 2:
+        raise ConfigError("compare runs adaptive MLQMC, which needs R >= 2")
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
     z = config.vector()
     kinds = config.estimators or list(_ESTIMATORS)
-    if not config.tolerances:
-        raise ConfigError("compare needs a 'tolerances' list")
 
     cost_rows = [list(COST_CSV_COLUMNS)]
     reports, achieved = _sweep(config, problem, z)
@@ -434,7 +441,7 @@ def compare_estimators(config: ExperimentConfig, out_dir=None) -> int:
                 status = 1
                 continue
             cost_rows.append(_cost_row(rep, eps))
-    _atomic_write(out / "cost_vs_tolerance.csv", _csv_text(cost_rows))
+    _write(out, {"cost_vs_tolerance.csv": _csv_text(cost_rows)})
     return status
 
 

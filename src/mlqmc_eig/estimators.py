@@ -49,6 +49,8 @@ _S0 = 4
 # the adaptive driver's bias estimate |Q_L| / (2^alpha - 1) assumes the
 # O(h^2) eigenvalue error, alpha = 2
 _BIAS_ALPHA = 2.0
+# Rayleigh-quotient tolerance of every eigensolve a sample makes
+RQ_TOL = 5e-8
 
 
 class MaxLevelExceededError(RuntimeError):
@@ -127,12 +129,9 @@ def level_params(ell: int, n_points: int, s: int = 64, s_policy: str = "fixed",
     )
 
 
-def default_levels(n_per_level, s: int = 64, s_policy: str = "fixed",
-                   base_exponent: int = 3) -> list[LevelParams]:
-    return [
-        level_params(ell, n, s=s, s_policy=s_policy, base_exponent=base_exponent)
-        for ell, n in enumerate(n_per_level)
-    ]
+def default_levels(n_per_level, s: int = 64, s_policy: str = "fixed") -> list[LevelParams]:
+    return [level_params(ell, n, s=s, s_policy=s_policy)
+            for ell, n in enumerate(n_per_level)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ class EstimatorOptions:
 
     two_grid: bool = True
     warm_start: bool = True
-    rq_tol: float = 5e-8
 
 
 def _priced(stats: SolveStats, mesh: TriMesh, s: int) -> SolveStats:
@@ -170,7 +168,7 @@ def _assembled(problem: CoefficientSeries, mesh: TriMesh, y: np.ndarray, s: int)
 
 def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
                             warm_state: Eigenpair | None = None,
-                            two_grid: bool = True, rq_tol: float = 5e-8
+                            two_grid: bool = True
                             ) -> tuple[float, Eigenpair | None, SolveStats]:
     """One telescoped difference lambda^ell - lambda^(ell-1) at parameter y.
 
@@ -186,22 +184,22 @@ def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
     mesh = build_uniform_mesh(level.mesh_exponent)
 
     if level.ell == 0:
-        pair, stats = smallest_eigenpair(*_assembled(problem, mesh, y, level.s), rq_tol,
+        pair, stats = smallest_eigenpair(*_assembled(problem, mesh, y, level.s), RQ_TOL,
                                          warm=warm_state)
         return pair.lam, pair, _priced(stats, mesh, level.s)
 
     prev_mesh = build_uniform_mesh(level.mesh_exponent - 1)
     if not two_grid:
         pair_f, stats = smallest_eigenpair_cold(*_assembled(problem, mesh, y, level.s),
-                                                rq_tol)
+                                                RQ_TOL)
         pair_p, st_p = smallest_eigenpair_cold(
-            *_assembled(problem, prev_mesh, y, level.prev_s), rq_tol)
+            *_assembled(problem, prev_mesh, y, level.prev_s), RQ_TOL)
         stats = _priced(stats, mesh, level.s).add(_priced(st_p, prev_mesh, level.prev_s))
         return pair_f.lam - pair_p.lam, None, stats
 
     coarse_mesh = build_uniform_mesh(level.coarse_exponent)
     coarse_pair, stats = smallest_eigenpair(
-        *_assembled(problem, coarse_mesh, y, level.coarse_s), rq_tol, warm=warm_state)
+        *_assembled(problem, coarse_mesh, y, level.coarse_s), RQ_TOL, warm=warm_state)
     _priced(stats, coarse_mesh, level.coarse_s)
     lams = []
     for fine_mesh, s in ((mesh, level.s), (prev_mesh, level.prev_s)):
@@ -236,9 +234,7 @@ def _run_stream(problem, level: LevelParams, points, options: EstimatorOptions):
     deltas, samples, warm = [], [], None
     for y in points:
         delta, pair, stats = sample_level_difference(
-            problem, level, y, warm_state=warm, two_grid=options.two_grid,
-            rq_tol=options.rq_tol,
-        )
+            problem, level, y, warm_state=warm, two_grid=options.two_grid)
         if options.warm_start:
             warm = pair
         deltas.append(delta)
@@ -331,7 +327,7 @@ def _level_report(level: LevelParams, streams: list, iid: bool) -> LevelReport:
         n = values.size
         q_hat = float(values.mean())
         per_shift = [q_hat]
-        variance = float(values.var(ddof=1) / n) if n > 1 else float("nan")
+        variance = float(values.var(ddof=1) / n)
     else:
         n = level.n_points
         per_shift = [_sequential_mean(deltas) for deltas, _, _ in streams]
@@ -440,11 +436,11 @@ def qmc_single_level(problem: CoefficientSeries, mesh_exponent: int, s: int,
 
 
 def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
-                n_samples: int, seed: int, rq_tol: float = 5e-8) -> MlqmcReport:
+                n_samples: int, seed: int) -> MlqmcReport:
     """Plain Monte Carlo with i.i.d. uniform parameters and cold eigensolves."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    options = EstimatorOptions(two_grid=False, warm_start=False, rq_tol=rq_tol)
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples for a variance estimate")
+    options = EstimatorOptions(two_grid=False, warm_start=False)
     reports = _run_levels(
         problem, [_single_level(mesh_exponent, s)],
         lambda lv: [_iid_points(seed, (10001,), n_samples, lv.s)], options, iid=True)
@@ -452,11 +448,12 @@ def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
 
 
 def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
-                  s: int = 64, s_policy: str = "fixed",
-                  rq_tol: float = 5e-8) -> MlqmcReport:
+                  s: int = 64, s_policy: str = "fixed") -> MlqmcReport:
     """Multilevel Monte Carlo with i.i.d. sampling and direct (cold) solves."""
+    if any(n < 2 for n in n_per_level):
+        raise ValueError("need at least 2 samples per level for a variance estimate")
     levels = default_levels(n_per_level, s=s, s_policy=s_policy)
-    options = EstimatorOptions(two_grid=False, warm_start=False, rq_tol=rq_tol)
+    options = EstimatorOptions(two_grid=False, warm_start=False)
     reports = _run_levels(
         problem, levels,
         lambda lv: [_iid_points(seed, (10002, lv.ell), lv.n_points, lv.s)],

@@ -21,15 +21,16 @@ whose columns ascend in that order.  Local entries whose row or column
 is a boundary node go to one extra bin past the pattern, which assembly
 drops.
 
-The stiffness matrix for a parameter ``y`` combines per-term
-coefficient tables, evaluated once per (mesh, problem, truncation) at
-O(s n) sines, with a single mat-vec per sample, so the per-sample cost
-scales like s * h^-2.  The mean field y = 0 needs no
+The stiffness matrix for a parameter ``y`` treats a and b alike: each
+field of the problem (``CoefficientSeries.fields``) keeps its base
+values and a table of its terms, evaluated once per (mesh, problem,
+truncation) at O(s n) sines, and is one mat-vec per sample, so the
+per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
 tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
 cached, like the mass matrix.  Tables larger than
-``_TABLE_MAX_FLOATS`` are not kept; the coefficient is then evaluated
-term by term on the grids on every call (``CoefficientSeries.a_values``),
-which skips the zero entries of y.
+``_TABLE_MAX_FLOATS`` are not kept; each field is then evaluated term
+by term on the grids on every call (``problems.series_values``), which
+skips the zero entries of y.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
 ``prolongation``, built once from the interpolation stencil on the
@@ -44,7 +45,7 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .problems import CoefficientSeries
+from .problems import CoefficientSeries, series_values
 
 # basis values at the edge midpoints (p0+p1)/2, (p1+p2)/2, (p2+p0)/2
 _PHI = np.array([
@@ -208,51 +209,26 @@ def _geometry(mesh: TriMesh) -> _Geometry:
     return _Geometry(mesh)
 
 
-class _CoefficientTables:
-    """Values of every coefficient term at the quadrature nodes.
-
-    Per-term tables are kept when ``s`` of them fit in
-    ``_TABLE_MAX_FLOATS``; each row is filled in place by one call of
-    the term on the node grids, and the coefficient at y is one mat-vec.
-    Otherwise it is evaluated term by term on every call.
-    """
-
-    def __init__(self, mesh: TriMesh, problem: CoefficientSeries, s: int):
-        geo = _geometry(mesh)
-        n_quad = 3 * mesh.n_elements
-        self.problem = problem
-        self._geo = geo
-        self.aj = None
-        self.bj = None
-        if s * n_quad <= _TABLE_MAX_FLOATS:
-            self.a0 = geo.evaluate(problem.a0)
-            self.aj = self._terms(problem.a_term, s, n_quad)
-            if problem.has_b:
-                self.b0 = geo.evaluate(problem.b0)
-                self.bj = self._terms(problem.b_term, s, n_quad)
-
-    def _terms(self, term, s: int, n_quad: int) -> np.ndarray:
-        table = np.empty((s, n_quad))
-        for j in range(1, s + 1):
-            self._geo.evaluate(partial(term, j), out=table[j - 1])
-        return table
-
-    def a_at_quad(self, y: np.ndarray) -> np.ndarray:
-        if self.aj is None:
-            return self._geo.evaluate(partial(self.problem.a_values, y=y))
-        return self.a0 + y @ self.aj
-
-    def b_at_quad(self, y: np.ndarray) -> np.ndarray | None:
-        if not self.problem.has_b:
-            return None
-        if self.bj is None:
-            return self._geo.evaluate(partial(self.problem.b_values, y=y))
-        return self.b0 + y @ self.bj
-
-
 @lru_cache(maxsize=32)
-def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> _CoefficientTables:
-    return _CoefficientTables(mesh, problem, s)
+def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple | None:
+    """One (base values, term table) pair per field of ``problem``.
+
+    The values are at the quadrature nodes, a first, then b when the
+    problem has one; each of the s table rows is filled in place by one
+    call of the term on the node grids, so the field at y is one
+    mat-vec.  None when the tables would exceed ``_TABLE_MAX_FLOATS``.
+    """
+    n_quad = 3 * mesh.n_elements
+    if s * n_quad > _TABLE_MAX_FLOATS:
+        return None
+    geo = _geometry(mesh)
+    tables = []
+    for base, term in problem.fields:
+        base_q, table = geo.evaluate(base), np.empty((s, n_quad))
+        for j in range(1, s + 1):
+            geo.evaluate(partial(term, j), out=table[j - 1])
+        tables.append((base_q, table))
+    return tuple(tables)
 
 
 def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
@@ -265,17 +241,24 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
     assembled once per (mesh, problem) from a0 and b0 alone, cached, and
     returned read-only, the same object on every call.  It is bitwise
     the matrix the coefficient tables would give, since a0 + 0 * a_j is
-    a0 exactly.
+    a0 exactly.  Above the table-size bound each field is evaluated term
+    by term on the node grids, as ``CoefficientSeries.a_values`` does.
     """
     y = np.asarray(y, dtype=float)
     if not y.any():
         return _mean_field_stiffness(mesh, problem)
-    tab = _tables(mesh, problem, y.size)
-    return _stiffness(mesh, problem, tab.a_at_quad(y), tab.b_at_quad(y))
+    tables = _tables(mesh, problem, y.size)
+    if tables is None:
+        geo = _geometry(mesh)
+        fields = [geo.evaluate(partial(series_values, base, term, y=y))
+                  for base, term in problem.fields]
+    else:
+        fields = [base_q + y @ table for base_q, table in tables]
+    return _stiffness(mesh, problem, *fields)
 
 
 def _stiffness(mesh: TriMesh, problem: CoefficientSeries, a_q: np.ndarray,
-               b_q: np.ndarray | None) -> sp.csr_matrix:
+               b_q: np.ndarray | None = None) -> sp.csr_matrix:
     """Stiffness from a and b at the quadrature nodes, after checking a > 0."""
     if np.any(a_q <= 0.0):
         worst = float(a_q.min())
@@ -291,8 +274,7 @@ def _stiffness(mesh: TriMesh, problem: CoefficientSeries, a_q: np.ndarray,
 @lru_cache(maxsize=64)
 def _mean_field_stiffness(mesh: TriMesh, problem: CoefficientSeries) -> sp.csr_matrix:
     geo = _geometry(mesh)
-    b_q = geo.evaluate(problem.b0) if problem.has_b else None
-    mat = _stiffness(mesh, problem, geo.evaluate(problem.a0), b_q)
+    mat = _stiffness(mesh, problem, *(geo.evaluate(base) for base, _ in problem.fields))
     mat.data.setflags(write=False)
     return mat
 

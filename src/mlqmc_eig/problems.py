@@ -57,10 +57,11 @@ def zeta(p: float, tol: float = 1e-10) -> float:
 class CoefficientSeries:
     """Affine coefficient family with truncation metadata.
 
-    ``a_term(j, x)`` evaluates a_j for j >= 1; ``b0``/``b_term`` are None
-    when the problem has no reaction term.  ``a_min`` is a uniform lower
-    bound on a(x, y) over all x and all y in the parameter box, and also
-    a lower bound on c.
+    ``a_term(j, x)`` evaluates a_j for j >= 1; ``b0`` and ``b_term`` are
+    both None when the problem has no reaction term, and a series with
+    only one of them is refused.  ``a_min`` is a uniform lower bound on
+    a(x, y) over all x and all y in the parameter box, and also a lower
+    bound on c.
     """
 
     name: str
@@ -71,27 +72,38 @@ class CoefficientSeries:
     b0: Coefficient | None = None
     b_term: TermFamily | None = None
 
+    def __post_init__(self):
+        if (self.b0 is None) != (self.b_term is None):
+            raise ValueError(f"{self.name}: give both b0 and b_term, or neither")
+
     @property
     def has_b(self) -> bool:
-        return self.b0 is not None or self.b_term is not None
+        return self.b0 is not None
+
+    @property
+    def fields(self) -> tuple:
+        """(base, term family) of a, then of b when the problem has one."""
+        return ((self.a0, self.a_term), (self.b0, self.b_term))[:1 + self.has_b]
 
     def a_values(self, x: Point, y: np.ndarray) -> np.ndarray:
         """Truncated a(x, y) with truncation dimension len(y)."""
-        out = np.asarray(self.a0(x), dtype=float).copy()
-        for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
-            if yj != 0.0:
-                out += yj * self.a_term(j, x)
-        return out
+        return series_values(self.a0, self.a_term, x, y)
 
     def b_values(self, x: Point, y: np.ndarray) -> np.ndarray:
+        """Truncated b(x, y); zero without a reaction term."""
         if not self.has_b:
             return np.zeros(_shape(x))
-        out = np.asarray(self.b0(x), dtype=float).copy()
-        if self.b_term is not None:
-            for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
-                if yj != 0.0:
-                    out += yj * self.b_term(j, x)
-        return out
+        return series_values(self.b0, self.b_term, x, y)
+
+
+def series_values(base: Coefficient, term: TermFamily, x: Point,
+                  y: np.ndarray) -> np.ndarray:
+    """base(x) + sum_j y_j term(j, x), left to right, skipping y_j = 0."""
+    out = np.asarray(base(x), dtype=float).copy()
+    for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
+        if yj != 0.0:
+            out += yj * term(j, x)
+    return out
 
 
 def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
@@ -202,19 +214,14 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
             return np.where(island_mask(x), val_in, val_out)
         return f
 
-    def a_term(j, x):
-        if j % 2 == 1:
-            vals = _SIGMA_A * _island_mode((j + 1) // 2, p_a, x)
-            return np.where(island_mask(x), vals, 0.0)
-        vals = _SIGMA_A_OUT * _island_mode(j // 2, p_a_out, x)
-        return np.where(island_mask(x), 0.0, vals)
-
-    def b_term(j, x):
-        if j % 2 == 1:
-            vals = _SIGMA_B * _island_mode((j + 1) // 2, p_b, x)
-            return np.where(island_mask(x), vals, 0.0)
-        vals = _SIGMA_B_OUT * _island_mode(j // 2, p_b_out, x)
-        return np.where(island_mask(x), 0.0, vals)
+    def term(sigma_in, p_in, sigma_out, p_out):
+        def f(j, x):
+            if j % 2 == 1:
+                vals = sigma_in * _island_mode((j + 1) // 2, p_in, x)
+                return np.where(island_mask(x), vals, 0.0)
+            vals = sigma_out * _island_mode(j // 2, p_out, x)
+            return np.where(island_mask(x), 0.0, vals)
+        return f
 
     def c(x):
         return np.ones(_shape(x))
@@ -222,11 +229,11 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
     return CoefficientSeries(
         name=f"problem2(pa={p_a:g},pa'={p_a_out:g},pb={p_b:g},pb'={p_b_out:g})",
         a0=piecewise(a0_in, a0_out),
-        a_term=a_term,
+        a_term=term(_SIGMA_A, p_a, _SIGMA_A_OUT, p_a_out),
         c=c,
         a_min=a_min,
         b0=piecewise(b0_in, b0_out),
-        b_term=b_term,
+        b_term=term(_SIGMA_B, p_b, _SIGMA_B_OUT, p_b_out),
     )
 
 

@@ -10,9 +10,10 @@ from mlqmc_eig import (
     two_grid_fine_update,
 )
 from mlqmc_eig.eigensolver import smallest_eigenpair
+from mlqmc_eig.estimators import RQ_TOL
 
 
-def _two_grid(problem, y, coarse, fine, tol=5e-8):
+def _two_grid(problem, y, coarse, fine, tol=RQ_TOL):
     """Two-grid eigenvalue and eigenvector at y, as a telescoped sample makes
     them: a cold eigensolve on the coarse pair (mesh, S), then the fine update
     on (mesh, s).  Returns the fine (lam, u)."""

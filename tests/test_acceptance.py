@@ -31,10 +31,9 @@ from mlqmc_eig import (
     smallest_eigenpair_cold,
     stiffness_interior,
 )
-from mlqmc_eig.estimators import EstimatorOptions, level_params
+from mlqmc_eig.estimators import RQ_TOL, EstimatorOptions, level_params
 from qmc_diagnostics import lattice_points, max_nn_distance, star_discrepancy_bruteforce
 
-RQ_TOL = 5e-8
 Z = default_generating_vector()
 P1 = problem1(2.0)
 

@@ -48,6 +48,9 @@ MALFORMED = [
     pytest.param({"estimator": "mlmc", "levels": [6, 3]}, "powers of 2",
                  id="mlmc-levels-not-pow2"),
     pytest.param({"estimator": "qmc", "N": 3}, "powers of 2", id="qmc-n-not-pow2"),
+    pytest.param({"estimator": "mc", "N": 1}, "at least 2 samples", id="mc-one-sample"),
+    pytest.param({"estimator": "mlmc", "levels": [8, 4, 1]}, "at least 2 samples",
+                 id="mlmc-one-sample-level"),
     pytest.param({"s": 0}, "'s'", id="zero-dimension"),
     pytest.param({"options": []}, "'options'", id="options-not-object"),
     pytest.param({"seed": True}, "'seed'", id="bool-as-int"),
@@ -62,6 +65,7 @@ MALFORMED = [
     pytest.param({"max_level": 0}, "max_level", id="zero-level-cap"),
     pytest.param({"options": {"shared_shifts": False}}, "shared_shifts",
                  id="removed-option"),
+    pytest.param({"rq_tol": 5e-8}, "rq_tol", id="removed-rq-tol"),
     pytest.param({"study": {"mode": "two_grid", "exponents": [3, 4, 5],
                             "coarse_exponent": 4}}, "coarse_exponent",
                  id="two-grid-study-coarse-finer"),
@@ -245,6 +249,21 @@ class TestRun:
         assert [entry["tolerance"] for entry in payload] == [0.625]
         assert len((out / "cost_vs_tolerance.csv").read_text().splitlines()) == 2
 
+    def test_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
+        # report.json is strict JSON, serialized before any file is written
+        mc = cli.mc_estimate
+
+        def nan_variance(*args):
+            rep = mc(*args)
+            rep.total_variance = float("nan")
+            return rep
+        monkeypatch.setattr(cli, "mc_estimate", nan_variance)
+        config = ExperimentConfig.from_file(write_config(tmp_path, estimator="mc", N=4))
+        out = tmp_path / "never"
+        with pytest.raises(ValueError, match="JSON"):
+            run_experiment(config, out)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_mc_estimator_run(self, tmp_path):
         path = write_config(tmp_path, estimator="mc", N=8, mesh_exponent=3)
         status = main(["run", "--config", str(path)])
@@ -300,6 +319,15 @@ class TestStudy:
         assert [lam.hex() for lam in summary["lambda_h"]] == \
             [lam.hex() for lam in per_mesh]
 
+    def test_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
+        # study.csv is not written when study_summary.json cannot be
+        config = ExperimentConfig.from_file(write_config(tmp_path))
+        monkeypatch.setattr(np, "polyfit", lambda *args: np.array([np.nan, 0.0]))
+        out = tmp_path / "never"
+        with pytest.raises(ValueError, match="JSON"):
+            convergence_study(config, out)
+        assert not out.exists() or not any(out.iterdir())
+
     def test_two_grid_rate_near_two(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -351,11 +379,24 @@ class TestCompare:
             qmc_single_level(problem, m, cfg.s, qmc_rep.levels[0].n_points, cfg.n_shifts,
                              z, cfg.seed, options=cfg.options, max_workers=cfg.threads),
             mlmc_estimate(problem, [lv.n_points for lv in mlmc_rep.levels], cfg.seed,
-                          s=cfg.s, s_policy=cfg.s_policy, rq_tol=cfg.options.rq_tol),
-            mc_estimate(problem, m, cfg.s, mc_rep.levels[0].n_points, cfg.seed,
-                        rq_tol=cfg.options.rq_tol),
+                          s=cfg.s, s_policy=cfg.s_policy),
+            mc_estimate(problem, m, cfg.s, mc_rep.levels[0].n_points, cfg.seed),
         ]
         assert [row[4] for row in rows[1:]] == [repr(rep.estimate) for rep in direct]
+
+    def test_one_shift_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # compare always runs adaptive MLQMC, which needs R >= 2, whatever
+        # the configured estimator
+        def no_work(*args, **kwargs):
+            raise AssertionError("compare started work")
+        monkeypatch.setattr(cli, "adaptive_mlqmc", no_work)
+        path = write_config(tmp_path, estimator="mc", R=1, tolerances=[0.5])
+        ExperimentConfig.from_file(path)
+        out = tmp_path / "never"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "R >= 2" in lines[0]
+        assert not out.exists()
 
     def test_later_tolerance_at_level_cap_keeps_achieved(self, tmp_path):
         path = write_config(tmp_path, tolerances=[0.625, 0.05], R=4, max_level=1,

@@ -29,9 +29,10 @@ from mlqmc_eig import (
 )
 from mlqmc_eig import eigensolver, mesh_fem
 from mlqmc_eig.eigensolver import _gap_estimate, two_grid_fine_update
+from mlqmc_eig.estimators import RQ_TOL
 from mlqmc_eig.sparse_linalg import shifted_operator
 
-TOL = 5e-8
+TOL = RQ_TOL
 
 
 def unit_series():
@@ -341,9 +342,9 @@ class TestMultigridUpdate:
         assembled = []
         stiffness = mesh_fem._stiffness
 
-        def counted(mesh, problem, a_q, b_q):
+        def counted(mesh, problem, *fields):
             assembled.append((mesh, problem))
-            return stiffness(mesh, problem, a_q, b_q)
+            return stiffness(mesh, problem, *fields)
 
         monkeypatch.setattr(mesh_fem, "_stiffness", counted)
         mesh_fem._mean_field_stiffness.cache_clear()

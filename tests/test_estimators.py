@@ -181,13 +181,20 @@ class TestMlqmcEstimate:
 
 
 class TestBaselines:
-    def test_mc_one_sample(self, prob1):
-        rep = mc_estimate(prob1, 3, 64, 1, seed=21)
+    def test_mc_two_samples(self, prob1):
+        rep = mc_estimate(prob1, 3, 64, 2, seed=21)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=21, spawn_key=(10001,)))
-        y = rng.random(64) - 0.5
-        lam, _, _ = sample_level_difference(prob1, level_params(0, 16), y)
-        assert rep.estimate == lam
+        lams = [sample_level_difference(prob1, level_params(0, 16),
+                                        rng.random(64) - 0.5)[0] for _ in range(2)]
+        assert rep.estimate == np.mean(lams)
+
+    def test_iid_levels_need_two_samples(self, prob1):
+        # one sample has no variance estimate
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mc_estimate(prob1, 3, 64, 1, seed=0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mlmc_estimate(prob1, [8, 4, 1], seed=0)
 
     def test_mc_standard_error_oracle(self, prob1):
         rep = mc_estimate(prob1, 3, 64, 32, seed=22)
@@ -258,6 +265,26 @@ class TestAdaptive:
                 for v, w in [(4.0, 2.0), (3.0, 1.0), (1.0, 1.0), (6.0, 2.0)]]
         # variance per work 2, 3, 1, 3: the tie goes to the lower level
         assert largest_variance_per_work(rows) == 1
+
+    def test_mse_within_tolerance_against_reference(self, prob1, zvec):
+        """The driver's promise MSE = bias^2 + variance <= eps^2, checked
+        as the RMS error of seeds 0-9 at eps = 0.02, R = 8.
+
+        The reference E[lambda] = 19.511930519549583 for Problem 1
+        (p = 2, s = 64) does not use the driver: a fixed-level
+        ``mlqmc_estimate`` on the default hierarchy h = 1/8 .. 1/256
+        (m = 3..8) with N = 4096, 1024, 512, 128, 32, 16 points per
+        shift, R = 8 and seed 1000 gives 19.51270309345078 (standard
+        error 1.9e-5), and the Richardson term Q_L/3 with
+        Q_L = -0.0023177217035892372 at m = 8 removes the O(h^2) bias
+        (Q_{L-1}/Q_L = 3.998).
+        """
+        eps, reference = 0.02, 19.511930519549583
+        errors = [adaptive_mlqmc(prob1, eps, 8, zvec, seed=seed).estimate - reference
+                  for seed in range(10)]
+        rms = math.sqrt(sum(e * e for e in errors) / len(errors))
+        print(f"errors {['%.2e' % e for e in errors]}, RMS {rms:.2e} (<= {eps})")
+        assert rms <= eps
 
     def test_rejects_bad_inputs(self, prob1, zvec):
         with pytest.raises(ValueError):

@@ -421,16 +421,22 @@ class TestAssembly:
         mesh = build_uniform_mesh(4)
         pts = pointwise_quad_points(mesh).reshape(-1, 2)
         x = (pts[:, 0], pts[:, 1])
+        stiffness, assembled = mesh_fem._stiffness, []
+
+        def spy(mesh, problem, *fields):
+            assembled.append(fields)
+            return stiffness(mesh, problem, *fields)
+
         for problem in (prob1, prob2):
             y = rng.random(16) - 0.5
             cached = stiffness_interior(mesh, problem, y).toarray()
             monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 0)
+            monkeypatch.setattr(mesh_fem, "_stiffness", spy)
             mesh_fem._tables.cache_clear()
             try:
-                tab = mesh_fem._tables(mesh, problem, y.size)
-                assert tab.aj is None
+                assert mesh_fem._tables(mesh, problem, y.size) is None
                 uncached = stiffness_interior(mesh, problem, y)
-                a_quad, b_quad = tab.a_at_quad(y), tab.b_at_quad(y)
+                a_quad, b_quad = (*assembled.pop(), None)[:2]
             finally:
                 monkeypatch.undo()
                 mesh_fem._tables.cache_clear()
@@ -510,9 +516,13 @@ class TestGridCoefficients:
         for y in (rng.random(64) - 0.5, np.zeros(64), np.zeros(0), rng.random(5) - 0.5):
             ref = pointwise_coefficients(mesh, problem, y)
             if y.size:
-                tab = mesh_fem._tables(mesh, problem, y.size)
-                for name in ("a0", "aj", "b0", "bj") if problem.has_b else ("a0", "aj"):
-                    assert np.array_equal(bits(getattr(tab, name)), bits(ref[name])), name
+                # one (base values, term table) pair per field, a then b
+                tables = [v for pair in mesh_fem._tables(mesh, problem, y.size)
+                          for v in pair]
+                names = ("a0", "aj", "b0", "bj") if problem.has_b else ("a0", "aj")
+                assert len(tables) == len(names)
+                for table, name in zip(tables, names):
+                    assert np.array_equal(bits(table), bits(ref[name])), name
             A = stiffness_interior(mesh, problem, y)
             assert np.array_equal(bits(A.data),
                                   bits(pointwise_stiffness(mesh, ref["a"], ref["b"])))
@@ -528,9 +538,9 @@ class TestGridCoefficients:
         # as numpy's sum over a length-3 axis does
         mesh = build_uniform_mesh(m)
         geo = mesh_fem._geometry(mesh)
-        tab = mesh_fem._tables(mesh, problem, 16)
         y = np.random.default_rng(m).random(16) - 0.5
-        a, b = tab.a_at_quad(y), tab.b_at_quad(y)
+        a, b = (*(base + y @ table for base, table in mesh_fem._tables(mesh, problem, 16)),
+                None)[:2]
         axis_sum = a.reshape(-1, 3).sum(axis=1)
         assert np.array_equal(bits(a[0::3] + a[1::3] + a[2::3]), bits(axis_sum))
         expected = geo.assemble((geo.area / 3.0) * axis_sum, b)

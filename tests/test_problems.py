@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,3 +181,17 @@ def test_make_problem_dispatch():
     assert make_problem("problem2").name.startswith("problem2")
     with pytest.raises(ValueError):
         make_problem("problem3")
+
+
+class TestCoefficientSeries:
+    @pytest.mark.parametrize("dropped", ["b0", "b_term"])
+    def test_refuses_half_of_b(self, prob2, dropped):
+        # before the check, b0 without b_term assembled at y = 0 and then
+        # failed inside assembly at any nonzero y
+        with pytest.raises(ValueError, match="both b0 and b_term"):
+            dataclasses.replace(prob2, **{dropped: None})
+
+    def test_fields_list_a_then_b(self, prob1, prob2):
+        assert prob1.fields == ((prob1.a0, prob1.a_term),) and not prob1.has_b
+        assert prob2.fields == ((prob2.a0, prob2.a_term), (prob2.b0, prob2.b_term))
+        assert prob2.has_b
