@@ -43,10 +43,10 @@ from .eigensolver import (
 )
 from .qmc import (
     GeneratingVector,
-    ShiftSet,
     default_generating_vector,
     lattice_point,
     load_generating_vector,
+    random_shift,
     shift_and_center,
     shift_average_and_variance,
 )

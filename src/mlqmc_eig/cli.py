@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .estimators import (
-    RQ_TOL,
     EstimatorOptions,
     MaxLevelExceededError,
     MlqmcReport,
@@ -297,8 +296,9 @@ def _sweep(config: ExperimentConfig, problem, z) -> tuple[list, bool]:
     """(eps, report) of the adaptive run at each tolerance, and whether all were met.
 
     The runs share their level reports, so each level is estimated once.
-    The sweep stops at the first tolerance that hits the level cap; if
-    that is the first tolerance, ``MaxLevelExceededError`` propagates.
+    The sweep stops at the first tolerance that hits a cap of the adaptive
+    driver; if that is the first tolerance, ``MaxLevelExceededError``
+    propagates.
     """
     reports, evaluated = [], {}
     for eps in config.tolerances:
@@ -315,18 +315,23 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> int:
     """Run the configured estimator(s); artifacts land in the output directory.
 
     Returns a process exit status: 0 when every requested tolerance was
-    achieved, 1 when a later tolerance hit the level cap; the artifacts
+    achieved, 1 when a later tolerance hit a cap of the adaptive driver
+    (the level cap or the generating vector's point cap); the artifacts
     then hold the tolerances achieved before it.  When the first
-    tolerance hits the level cap nothing is written and
-    ``MaxLevelExceededError`` propagates (see ``_sweep``).
+    tolerance hits a cap nothing is written and ``MaxLevelExceededError``
+    propagates (see ``_sweep``).  Only the mlqmc estimator sweeps
+    ``tolerances``; with another, ConfigError is raised before any work.
     """
+    if config.tolerances and config.estimator != "mlqmc":
+        raise ConfigError(f"run sweeps 'tolerances' only with the mlqmc estimator, "
+                          f"got {config.estimator!r}")
     out = Path(out_dir or config.out_dir)
     problem = config.problem()
     z = None
     if config.estimator in ("qmc", "mlqmc"):
         z = config.vector()
 
-    if config.estimator == "mlqmc" and config.tolerances:
+    if config.tolerances:
         reports, achieved = _sweep(config, problem, z)
     else:
         reports, achieved = [(None, _run_one(config, problem, z))], True
@@ -366,7 +371,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> dict:
 
     def cold(mesh, s):
         A = stiffness_interior(mesh, problem, y[:s])
-        return smallest_eigenpair_cold(A, mass_interior(mesh, problem), RQ_TOL)[0]
+        return smallest_eigenpair_cold(A, mass_interior(mesh, problem))[0]
 
     if config.study.mode == "direct":
         lams = [cold(build_uniform_mesh(m), config.s).lam for m in exponents]

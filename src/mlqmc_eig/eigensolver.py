@@ -71,6 +71,9 @@ from .sparse_linalg import (
     shifted_operator,
 )
 
+# Rayleigh-quotient tolerance of every eigensolve: RQ iteration stops when
+# the shift changes by at most this much
+RQ_TOL = 5e-8
 _MAX_RQ_ITER = 50
 _SHIFT_NUDGE = 1e-10
 _MAX_SHIFT_ATTEMPTS = 3
@@ -171,16 +174,13 @@ def _factorize_nudged(A, M, sigma: float, stats: SolveStats) -> FactorizedOperat
     )
 
 
-def rq_iteration(A, M, v0: np.ndarray, sigma0: float,
-                 tol: float) -> tuple[Eigenpair, SolveStats]:
+def rq_iteration(A, M, v0: np.ndarray, sigma0: float) -> tuple[Eigenpair, SolveStats]:
     """Rayleigh quotient iteration from (v0, sigma0).
 
-    Stops when the shift changes by at most ``tol`` between iterations
+    Stops when the shift changes by at most ``RQ_TOL`` between iterations
     (an absolute eigenvalue criterion).  Singular shifted systems are
     retried with a multiplicative nudge of the shift.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     v0 = np.asarray(v0, dtype=float)
     norm0 = m_norm(v0, M)
     if norm0 == 0.0:
@@ -197,7 +197,7 @@ def rq_iteration(A, M, v0: np.ndarray, sigma0: float,
         sigma_new = rayleigh_quotient(A, M, v)
         stats.rq_iterations += 1
         change = abs(sigma_new - sigma)
-        if change <= tol:
+        if change <= RQ_TOL:
             return _normalized_pair(sigma_new, v, M), stats
         sigma = sigma_new
     raise NoConvergenceError(
@@ -223,7 +223,7 @@ def _gap_estimate(power_rqs: list[float], lam: float) -> float:
     return lam
 
 
-def smallest_eigenpair_cold(A, M, tol: float) -> tuple[Eigenpair, SolveStats]:
+def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
     """Smallest eigenpair from a deterministic cold start.
 
     Five inverse-power iterations from the all-ones vector bias the
@@ -249,7 +249,7 @@ def smallest_eigenpair_cold(A, M, tol: float) -> tuple[Eigenpair, SolveStats]:
             v = v / m_norm(v, M)
             power_rqs.append(rayleigh_quotient(A, M, v))
         try:
-            pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1], tol)
+            pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1])
         except NoConvergenceError:
             if restart == _MAX_RESTARTS:
                 raise
@@ -288,13 +288,13 @@ def warm_start_from(previous: Eigenpair, A_current, M) -> tuple[np.ndarray, floa
     return v0, rayleigh_quotient(A_current, M, v0)
 
 
-def smallest_eigenpair(A, M, tol: float,
-                       warm: Eigenpair | None = None) -> tuple[Eigenpair, SolveStats]:
+def smallest_eigenpair(A, M, *, warm: Eigenpair | None = None
+                       ) -> tuple[Eigenpair, SolveStats]:
     """Warm-started RQ iteration when a nearby pair is available, else cold."""
     if warm is None:
-        return smallest_eigenpair_cold(A, M, tol)
+        return smallest_eigenpair_cold(A, M)
     v0, sigma0 = warm_start_from(warm, A, M)
-    return rq_iteration(A, M, v0, sigma0, tol)
+    return rq_iteration(A, M, v0, sigma0)
 
 
 class _VCycle:

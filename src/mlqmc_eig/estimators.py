@@ -35,8 +35,8 @@ from .mesh_fem import TriMesh, build_uniform_mesh, mass_interior, stiffness_inte
 from .problems import CoefficientSeries
 from .qmc import (
     GeneratingVector,
-    ShiftSet,
     lattice_point,
+    random_shift,
     shift_and_center,
     shift_average_and_variance,
 )
@@ -49,12 +49,13 @@ _S0 = 4
 # the adaptive driver's bias estimate |Q_L| / (2^alpha - 1) assumes the
 # O(h^2) eigenvalue error, alpha = 2
 _BIAS_ALPHA = 2.0
-# Rayleigh-quotient tolerance of every eigensolve a sample makes
-RQ_TOL = 5e-8
+# lattice points per shift with which the adaptive driver starts each level
+_N_INITIAL = 16
 
 
 class MaxLevelExceededError(RuntimeError):
-    """The adaptive driver hit the level cap before meeting the bias test."""
+    """The adaptive driver hit a cap: the bias test still fails at the level
+    cap, or a level needs more points than the generating vector's ``n_max``."""
 
 
 @dataclass(frozen=True)
@@ -184,22 +185,21 @@ def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
     mesh = build_uniform_mesh(level.mesh_exponent)
 
     if level.ell == 0:
-        pair, stats = smallest_eigenpair(*_assembled(problem, mesh, y, level.s), RQ_TOL,
+        pair, stats = smallest_eigenpair(*_assembled(problem, mesh, y, level.s),
                                          warm=warm_state)
         return pair.lam, pair, _priced(stats, mesh, level.s)
 
     prev_mesh = build_uniform_mesh(level.mesh_exponent - 1)
     if not two_grid:
-        pair_f, stats = smallest_eigenpair_cold(*_assembled(problem, mesh, y, level.s),
-                                                RQ_TOL)
+        pair_f, stats = smallest_eigenpair_cold(*_assembled(problem, mesh, y, level.s))
         pair_p, st_p = smallest_eigenpair_cold(
-            *_assembled(problem, prev_mesh, y, level.prev_s), RQ_TOL)
+            *_assembled(problem, prev_mesh, y, level.prev_s))
         stats = _priced(stats, mesh, level.s).add(_priced(st_p, prev_mesh, level.prev_s))
         return pair_f.lam - pair_p.lam, None, stats
 
     coarse_mesh = build_uniform_mesh(level.coarse_exponent)
     coarse_pair, stats = smallest_eigenpair(
-        *_assembled(problem, coarse_mesh, y, level.coarse_s), RQ_TOL, warm=warm_state)
+        *_assembled(problem, coarse_mesh, y, level.coarse_s), warm=warm_state)
     _priced(stats, coarse_mesh, level.coarse_s)
     lams = []
     for fine_mesh, s in ((mesh, level.s), (prev_mesh, level.prev_s)):
@@ -314,14 +314,14 @@ def _sequential_mean(values) -> float:
     return total / len(values)
 
 
-def _level_report(level: LevelParams, streams: list, iid: bool) -> LevelReport:
+def _level_report(level: LevelParams, streams: list) -> LevelReport:
     """The report row of one level from its streams' differences and stats.
 
     Lattice levels average the per-shift means and estimate the variance
-    from their spread; an i.i.d. level has one stream and uses the
-    sample variance of the mean.
+    from their spread; an i.i.d. level has one stream (a lattice level
+    has at least two) and uses the sample variance of the mean.
     """
-    if iid:
+    if len(streams) == 1:
         [(deltas, _, _)] = streams
         values = np.asarray(deltas)
         n = values.size
@@ -358,12 +358,14 @@ def _level_report(level: LevelParams, streams: list, iid: bool) -> LevelReport:
 
 
 def _run_levels(problem, levels, streams_of, options: EstimatorOptions,
-                iid: bool = False, max_workers: int = 1) -> list[LevelReport]:
+                max_workers: int = 1) -> list[LevelReport]:
     """Every stream of every level, reduced in fixed order to one row per level.
 
     ``streams_of(level)`` gives the level's point streams: one per random
     shift of a lattice rule, or a single i.i.d. stream.
     """
+    if not levels:
+        raise ValueError("need at least one level")
     jobs = [(lv, points) for lv in levels for points in streams_of(lv)]
 
     def run(job):
@@ -377,29 +379,28 @@ def _run_levels(problem, levels, streams_of, options: EstimatorOptions,
     by_level = {}
     for (lv, _), res in zip(jobs, results):
         by_level.setdefault(lv.ell, []).append(res)
-    return [_level_report(lv, by_level[lv.ell], iid) for lv in levels]
+    return [_level_report(lv, by_level[lv.ell]) for lv in levels]
 
 
 def _lattice_levels(problem, levels, n_shifts: int, z: GeneratingVector, seed: int,
                     options: EstimatorOptions, max_workers: int) -> list[LevelReport]:
     if n_shifts < 2:
         raise ValueError("need at least 2 random shifts for a variance estimate")
-    shift_set = ShiftSet(seed, n_shifts)
 
     def streams_of(lv):
-        return [_lattice_points(z, lv, shift_set.shift(lv.ell, r, lv.s))
+        return [_lattice_points(z, lv, random_shift(seed, lv.ell, r, lv.s))
                 for r in range(n_shifts)]
     return _run_levels(problem, levels, streams_of, options, max_workers=max_workers)
 
 
-def _finalize(kind: str, problem: CoefficientSeries, seed: int, n_shifts: int,
+def _finalize(kind: str, problem: CoefficientSeries, seed: int,
               options: EstimatorOptions, level_reports: list[LevelReport],
               **extra) -> MlqmcReport:
     return MlqmcReport(
         kind=kind,
         problem=problem.name,
         seed=seed,
-        n_shifts=n_shifts,
+        n_shifts=level_reports[0].n_shifts,
         options=asdict(options),
         levels=level_reports,
         estimate=float(sum(lv.q_hat for lv in level_reports)),
@@ -417,7 +418,7 @@ def mlqmc_estimate(problem: CoefficientSeries, levels: list[LevelParams],
                    max_workers: int = 1) -> MlqmcReport:
     """Shift-averaged multilevel QMC estimate of E[lambda] over fixed levels."""
     reports = _lattice_levels(problem, levels, n_shifts, z, seed, options, max_workers)
-    return _finalize("mlqmc", problem, seed, n_shifts, options, reports)
+    return _finalize("mlqmc", problem, seed, options, reports)
 
 
 def _single_level(mesh_exponent: int, s: int, n_points: int = 1) -> LevelParams:
@@ -432,7 +433,7 @@ def qmc_single_level(problem: CoefficientSeries, mesh_exponent: int, s: int,
     """Single-level shift-averaged lattice estimator of E[lambda_{h,s}]."""
     level = _single_level(mesh_exponent, s, n_points)
     reports = _lattice_levels(problem, [level], n_shifts, z, seed, options, max_workers)
-    return _finalize("qmc", problem, seed, n_shifts, options, reports)
+    return _finalize("qmc", problem, seed, options, reports)
 
 
 def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
@@ -443,8 +444,8 @@ def mc_estimate(problem: CoefficientSeries, mesh_exponent: int, s: int,
     options = EstimatorOptions(two_grid=False, warm_start=False)
     reports = _run_levels(
         problem, [_single_level(mesh_exponent, s)],
-        lambda lv: [_iid_points(seed, (10001,), n_samples, lv.s)], options, iid=True)
-    return _finalize("mc", problem, seed, 1, options, reports)
+        lambda lv: [_iid_points(seed, (10001,), n_samples, lv.s)], options)
+    return _finalize("mc", problem, seed, options, reports)
 
 
 def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
@@ -456,9 +457,8 @@ def mlmc_estimate(problem: CoefficientSeries, n_per_level: list[int], seed: int,
     options = EstimatorOptions(two_grid=False, warm_start=False)
     reports = _run_levels(
         problem, levels,
-        lambda lv: [_iid_points(seed, (10002, lv.ell), lv.n_points, lv.s)],
-        options, iid=True)
-    return _finalize("mlmc", problem, seed, 1, options, reports)
+        lambda lv: [_iid_points(seed, (10002, lv.ell), lv.n_points, lv.s)], options)
+    return _finalize("mlmc", problem, seed, options, reports)
 
 
 def largest_variance_per_work(levels: list[LevelReport]) -> int:
@@ -474,13 +474,12 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                    z: GeneratingVector, seed: int,
                    options: EstimatorOptions = EstimatorOptions(),
                    s: int = 64, s_policy: str = "fixed",
-                   base_exponent: int = 3, max_level: int = 6,
-                   n_initial: int = 16, max_workers: int = 1,
+                   base_exponent: int = 3, max_level: int = 6, max_workers: int = 1,
                    evaluated: dict | None = None) -> MlqmcReport:
     """Tolerance-driven multilevel QMC estimate of E[lambda].
 
-    Starting from two levels with 16 points each, the driver doubles
-    N on the level with the largest variance-per-work ratio until the
+    Starting from two levels with ``_N_INITIAL`` points each, the driver
+    doubles N on the level with the largest variance-per-work ratio until the
     total variance is below eps^2/2, then extends the hierarchy while
     the bias estimate |Q_L| / (2^alpha - 1) exceeds eps/sqrt(2).  The
     doubling decision uses the deterministic per-sample work counters,
@@ -498,7 +497,8 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
     the estimate, timed when each level was first computed.
 
     Raises ``MaxLevelExceededError`` when the bias test still fails at
-    ``max_level``; the levels computed until then stay in ``evaluated``.
+    ``max_level``, or when a level needs more than ``z.n_max`` points;
+    the levels computed until then stay in ``evaluated``.
     ``mlqmc-eig run`` then writes nothing if this was the first
     tolerance of its sweep, and the tolerances achieved before it
     otherwise.
@@ -523,7 +523,7 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
         trajectory.append({"action": action, "level": ell, "N": n_points})
 
     for ell in (0, 1):
-        evaluate("add_level", ell, n_initial)
+        evaluate("add_level", ell, _N_INITIAL)
 
     var_target = tolerance ** 2 / 2.0
     bias_target = tolerance / math.sqrt(2.0)
@@ -536,7 +536,7 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
             star = ells[largest_variance_per_work([state[ell] for ell in ells])]
             new_n = 2 * state[star].n_points
             if new_n > z.n_max:
-                raise RuntimeError(
+                raise MaxLevelExceededError(
                     f"level {star} needs more than the generating vector's "
                     f"maximum of {z.n_max} points"
                 )
@@ -550,9 +550,9 @@ def adaptive_mlqmc(problem: CoefficientSeries, tolerance: float, n_shifts: int,
                 f"bias {bias_estimate:.3e} > {bias_target:.3e} at the level cap "
                 f"{max_level}"
             )
-        evaluate("add_level", top + 1, n_initial)
+        evaluate("add_level", top + 1, _N_INITIAL)
 
-    return _finalize("mlqmc", problem, seed, n_shifts, options,
+    return _finalize("mlqmc", problem, seed, options,
                      [state[ell] for ell in sorted(state)],
                      tolerance=tolerance, tolerance_achieved=True,
                      trajectory=trajectory)

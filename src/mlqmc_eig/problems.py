@@ -36,16 +36,16 @@ def _shape(x: Point) -> tuple[int, ...]:
     return np.broadcast_shapes(*(np.shape(xi) for xi in x))
 
 
-def zeta(p: float, tol: float = 1e-10) -> float:
+def zeta(p: float) -> float:
     """Riemann zeta(p) for p > 1 by partial summation with a tail correction.
 
     The tail sum_{j>n} j^-p is replaced by its Euler-Maclaurin estimate;
-    n grows until the first neglected term is below ``tol``.
+    n grows until the first neglected term is below 1e-10.
     """
     if p <= 1.0:
         raise ValueError(f"zeta requires p > 1, got {p}")
     n = 16
-    while p * (p + 1) * (p + 2) * n ** (-p - 3) / 720.0 >= tol:
+    while p * (p + 1) * (p + 2) * n ** (-p - 3) / 720.0 >= 1e-10:
         n *= 2
     j = np.arange(1, n + 1, dtype=float)
     partial = float(np.sum(j ** (-p)))

@@ -119,22 +119,11 @@ def shift_and_center(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.mod(t + delta, 1.0) - 0.5
 
 
-@dataclass(frozen=True)
-class ShiftSet:
-    """Reproducible uniform random shifts, one stream per (level, shift)."""
-
-    seed: int
-    n_shifts: int
-
-    def __post_init__(self):
-        if self.n_shifts < 1:
-            raise ValueError("need at least one shift")
-
-    def shift(self, level: int, r: int, dim: int) -> np.ndarray:
-        if not 0 <= r < self.n_shifts:
-            raise ValueError(f"shift index {r} outside [0, {self.n_shifts})")
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(level, r))
-        return np.random.default_rng(ss).random(dim)
+def random_shift(seed: int, level: int, r: int, dim: int) -> np.ndarray:
+    """The r-th uniform random shift in [0,1)^dim of a level, reproducible
+    from the seed: one stream per (level, shift)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(level, r))
+    return np.random.default_rng(ss).random(dim)
 
 
 def shift_average_and_variance(per_shift_estimates) -> tuple[float, float]:

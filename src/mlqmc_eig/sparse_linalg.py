@@ -13,14 +13,16 @@ rejected with ``ValueError``.  The fill-reducing ordering is therefore
 built once per pattern, on its first factorization, and kept with the
 gather that takes values on the CSR pattern to the permuted CSC
 pattern.  It is found again by the identity of the pattern's index
-arrays, which every matrix of a mesh holds, not by their values.  For a
-pair on the k x k interior grid the ordering is a geometric nested
-dissection (George 1973); for any other pattern it is the identity.  Each factorization is then one subtraction of value
-arrays, one gather and one call of SuperLU's ``gstrf``, which keeps the
-given column order.  Where the two-grid update solves iteratively
-instead (see ``eigensolver``), ``shifted_operator`` forms A - sigma*M by
-the same subtraction, as a CSR matrix on the pattern, and ``matvec``
-applies it.
+arrays, which every matrix of a mesh holds, not by their values.  The
+ordering is the geometric nested dissection (George 1973) of a k x k
+grid whenever the size n is a perfect square, n = k * k, as it is for
+the interior DOFs of every mesh; it is the identity for any other n.
+The pattern itself is not inspected.  Each factorization is then one
+subtraction of value arrays, one gather and one call of SuperLU's
+``gstrf``, which keeps the given column order.  Where the two-grid
+update solves iteratively instead (see ``eigensolver``),
+``shifted_operator`` forms A - sigma*M by the same subtraction, as a CSR
+matrix on the pattern, and ``matvec`` applies it.
 
 Two private scipy entry points carry the hot paths, both verified on
 scipy 1.17.1:

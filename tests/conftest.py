@@ -10,17 +10,16 @@ from mlqmc_eig import (
     two_grid_fine_update,
 )
 from mlqmc_eig.eigensolver import smallest_eigenpair
-from mlqmc_eig.estimators import RQ_TOL
 
 
-def _two_grid(problem, y, coarse, fine, tol=RQ_TOL):
+def _two_grid(problem, y, coarse, fine):
     """Two-grid eigenvalue and eigenvector at y, as a telescoped sample makes
     them: a cold eigensolve on the coarse pair (mesh, S), then the fine update
     on (mesh, s).  Returns the fine (lam, u)."""
     (coarse_mesh, coarse_s), (fine_mesh, s) = coarse, fine
     y = np.asarray(y, dtype=float)
     pair, _ = smallest_eigenpair(stiffness_interior(coarse_mesh, problem, y[:coarse_s]),
-                                 mass_interior(coarse_mesh, problem), tol)
+                                 mass_interior(coarse_mesh, problem))
     lam, u, _ = two_grid_fine_update(problem, y, coarse_mesh, pair, fine_mesh, s)
     return lam, u
 

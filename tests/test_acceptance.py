@@ -31,7 +31,8 @@ from mlqmc_eig import (
     smallest_eigenpair_cold,
     stiffness_interior,
 )
-from mlqmc_eig.estimators import RQ_TOL, EstimatorOptions, level_params
+from mlqmc_eig.eigensolver import RQ_TOL
+from mlqmc_eig.estimators import EstimatorOptions, level_params
 from qmc_diagnostics import lattice_points, max_nn_distance, star_discrepancy_bruteforce
 
 Z = default_generating_vector()
@@ -46,7 +47,7 @@ def direct_lambda(problem, m, y, s=64):
     mesh = build_uniform_mesh(m)
     A = stiffness_interior(mesh, problem, np.asarray(y)[:s])
     M = mass_interior(mesh, problem)
-    pair, _ = smallest_eigenpair_cold(A, M, RQ_TOL)
+    pair, _ = smallest_eigenpair_cold(A, M)
     return pair.lam
 
 
@@ -84,7 +85,7 @@ def test_criterion_2_two_grid_fidelity(two_grid):
     def two_grid_lambdas(coarse_exponent, coarse_s):
         coarse = build_uniform_mesh(coarse_exponent)
         return np.array([
-            two_grid(P1, y, (coarse, coarse_s), (fine, 64), tol=RQ_TOL)[0]
+            two_grid(P1, y, (coarse, coarse_s), (fine, 64))[0]
             for y in ys
         ])
 

@@ -40,6 +40,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def small_vector(tmp_path):
+    """A 64-component generating vector for N <= 16, named by the convention."""
+    path = tmp_path / "lattice-0-1-16.64"
+    path.write_text("\n".join(str(2 * (j % 8) + 1) for j in range(64)) + "\n")
+    return path
+
+
 # configs that must exit 2 at load; each names what the error must mention
 MALFORMED = [
     pytest.param({"options": {"two_grid": "false"}}, "two_grid", id="bool-as-string"),
@@ -249,6 +256,44 @@ class TestRun:
         assert [entry["tolerance"] for entry in payload] == [0.625]
         assert len((out / "cost_vs_tolerance.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("kind", ["mc", "qmc", "mlmc"])
+    def test_tolerances_need_mlqmc_exits_2_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, kind):
+        # only adaptive MLQMC sweeps tolerances, so run refuses them elsewhere
+        def no_work(*args, **kwargs):
+            raise AssertionError("run started work")
+        for name in ("adaptive_mlqmc", "mc_estimate", "qmc_single_level",
+                     "mlmc_estimate"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = write_config(tmp_path, estimator=kind, N=4, tolerances=[0.5])
+        out = tmp_path / "never"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "tolerances" in lines[0] and kind in lines[0]
+        assert not out.exists()
+
+    def test_first_tolerance_at_point_cap_writes_nothing(self, tmp_path, capsys):
+        # at eps = 1e-4 the variance target asks some level for 32 points per
+        # shift, past the vector's n_max = 16
+        path = write_config(tmp_path, tolerances=[1e-4],
+                            generating_vector=str(small_vector(tmp_path)))
+        out = tmp_path / "capped"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "maximum of 16 points" in lines[0]
+
+    def test_later_tolerance_at_point_cap_keeps_achieved(self, tmp_path):
+        path = write_config(tmp_path, tolerances=[0.5, 1e-4],
+                            generating_vector=str(small_vector(tmp_path)))
+        out = tmp_path / "capped"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        payload = json.loads((out / "report.json").read_text())
+        assert [entry["tolerance"] for entry in payload] == [0.5]
+        assert len((out / "cost_vs_tolerance.csv").read_text().splitlines()) == 2
+
     def test_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
         # report.json is strict JSON, serialized before any file is written
         mc = cli.mc_estimate
@@ -383,6 +428,16 @@ class TestCompare:
             mc_estimate(problem, m, cfg.s, mc_rep.levels[0].n_points, cfg.seed),
         ]
         assert [row[4] for row in rows[1:]] == [repr(rep.estimate) for rep in direct]
+
+    def test_runs_whatever_the_estimator(self, tmp_path):
+        # compare reads tolerances even where run refuses them
+        path = write_config(tmp_path, estimator="mc", N=4, tolerances=[0.2],
+                            estimators=["mlqmc", "mc"], R=4)
+        out = tmp_path / "compare"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "cost_vs_tolerance.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["0.2", "mlqmc"],
+                                                              ["0.2", "mc"]]
 
     def test_one_shift_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         # compare always runs adaptive MLQMC, which needs R >= 2, whatever

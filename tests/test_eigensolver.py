@@ -11,7 +11,6 @@ from mlqmc_eig import (
     CoefficientSeries,
     LevelParams,
     NoConvergenceError,
-    ShiftSet,
     build_uniform_mesh,
     lattice_point,
     level_params,
@@ -20,6 +19,7 @@ from mlqmc_eig import (
     problem1,
     problem2,
     prolongate,
+    random_shift,
     rayleigh_quotient,
     rq_iteration,
     shift_and_center,
@@ -28,11 +28,8 @@ from mlqmc_eig import (
     warm_start_from,
 )
 from mlqmc_eig import eigensolver, mesh_fem
-from mlqmc_eig.eigensolver import _gap_estimate, two_grid_fine_update
-from mlqmc_eig.estimators import RQ_TOL
+from mlqmc_eig.eigensolver import RQ_TOL, _gap_estimate, two_grid_fine_update
 from mlqmc_eig.sparse_linalg import shifted_operator
-
-TOL = RQ_TOL
 
 
 def unit_series():
@@ -61,7 +58,7 @@ class TestRqIteration:
     def test_exact_start_one_iteration(self):
         A = sp.diags([1.0, 2.0]).tocsr()
         M = sp.identity(2, format="csr")
-        pair, stats = rq_iteration(A, M, np.array([1.0, 0.0]), 1.0, TOL)
+        pair, stats = rq_iteration(A, M, np.array([1.0, 0.0]), 1.0)
         assert pair.lam == pytest.approx(1.0, abs=1e-12)
         assert stats.rq_iterations == 1
 
@@ -71,27 +68,27 @@ class TestRqIteration:
         v0 = np.array([2.0, 1.0]) / math.sqrt(5)
         sigma0 = rayleigh_quotient(A, M, v0)
         assert sigma0 == pytest.approx(1.2)
-        pair, _ = rq_iteration(A, M, v0, sigma0, TOL)
+        pair, _ = rq_iteration(A, M, v0, sigma0)
         lam_exact, _ = dense_smallest(A, M)
         assert pair.lam == pytest.approx(lam_exact, abs=1e-10)
 
     def test_laplacian_cold_start_vs_dense(self, prob1):
         A, M = laplacian_pair(3, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         lam_exact, _ = dense_smallest(A, M)
-        assert abs(pair.lam - lam_exact) <= TOL
+        assert abs(pair.lam - lam_exact) <= RQ_TOL
 
     def test_rejects_zero_start(self):
         A = sp.identity(2, format="csr")
         with pytest.raises(ValueError):
-            rq_iteration(A, A, np.zeros(2), 0.0, TOL)
+            rq_iteration(A, A, np.zeros(2), 0.0)
 
     def test_eigenpair_invariants(self, prob1):
         A, M = laplacian_pair(3, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         assert m_inner(pair.u, pair.u, M) == pytest.approx(1.0, abs=1e-10)
         res = A @ pair.u - pair.lam * (M @ pair.u)
-        assert np.linalg.norm(res) / np.linalg.norm(pair.u) <= 100 * TOL
+        assert np.linalg.norm(res) / np.linalg.norm(pair.u) <= 100 * RQ_TOL
         assert pair.u[np.argmax(np.abs(pair.u))] > 0
 
 
@@ -100,14 +97,14 @@ class TestColdStart:
         # FE error at h=1/8 on this triangulation is 0.766 (verified against
         # the dense oracle); the next eigenvalue sits ~30 away
         A, M = laplacian_pair(3, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         assert pair.lam >= 2 * math.pi ** 2
         assert pair.lam == pytest.approx(2 * math.pi ** 2, abs=1.0)
 
     def test_selects_smallest_not_first(self):
         A = sp.diags([3.0, 1.0, 2.0]).tocsr()
         M = sp.identity(3, format="csr")
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         assert pair.lam == pytest.approx(1.0, abs=1e-10)
 
     def test_problem1_at_origin_equals_laplacian(self, prob1):
@@ -115,8 +112,8 @@ class TestColdStart:
         A2 = stiffness_interior(build_uniform_mesh(3), unit_series(), np.zeros(1))
         M2 = mass_interior(build_uniform_mesh(3), unit_series())
         assert (A1 - A2).nnz == 0 or np.abs((A1 - A2).toarray()).max() == 0
-        p1, _ = smallest_eigenpair_cold(A1, M1, TOL)
-        p2, _ = smallest_eigenpair_cold(A2, M2, TOL)
+        p1, _ = smallest_eigenpair_cold(A1, M1)
+        p2, _ = smallest_eigenpair_cold(A2, M2)
         assert p1.lam == p2.lam
 
     def test_gap_estimate_exposed(self):
@@ -136,7 +133,7 @@ class TestMonotoneConvergence:
     def test_fe_values_decrease_with_refinement(self, prob1):
         lams = []
         for m in (3, 4, 5):
-            pair, _ = smallest_eigenpair_cold(*laplacian_pair(m, prob1), TOL)
+            pair, _ = smallest_eigenpair_cold(*laplacian_pair(m, prob1))
             lams.append(pair.lam)
         assert lams[0] >= lams[1] >= lams[2]
         richardson = lams[-1] + (lams[-1] - lams[-2]) / 3.0
@@ -149,7 +146,7 @@ class TestTwoGrid:
         y = rng.random(16) - 0.5
         A = stiffness_interior(mesh, prob1, y)
         M = mass_interior(mesh, prob1)
-        direct, _ = smallest_eigenpair_cold(A, M, TOL)
+        direct, _ = smallest_eigenpair_cold(A, M)
         lam_tg, _ = two_grid(prob1, y, (mesh, 16), (mesh, 16))
         assert abs(lam_tg - direct.lam) <= 1e-8
 
@@ -159,7 +156,7 @@ class TestTwoGrid:
         fine = build_uniform_mesh(5)
         lam_tg, _ = two_grid(prob1, y, (coarse, 8), (fine, 64))
         direct, _ = smallest_eigenpair_cold(
-            stiffness_interior(fine, prob1, y), mass_interior(fine, prob1), TOL
+            stiffness_interior(fine, prob1, y), mass_interior(fine, prob1)
         )
         fe_error = abs(direct.lam - 2 * math.pi ** 2)
         assert abs(lam_tg - direct.lam) < 0.05 * fe_error
@@ -182,12 +179,12 @@ class TestTwoGrid:
         lam_tg, _ = two_grid(prob1, y, (coarse, 8), (fine, 64))
         A = stiffness_interior(fine, prob1, y)
         M = mass_interior(fine, prob1)
-        direct, _ = smallest_eigenpair_cold(A, M, TOL)
+        direct, _ = smallest_eigenpair_cold(A, M)
         lams_direct = []
         for m in (4, 5):
             Am = stiffness_interior(build_uniform_mesh(m), prob1, y)
             Mm = mass_interior(build_uniform_mesh(m), prob1)
-            p, _ = smallest_eigenpair_cold(Am, Mm, TOL)
+            p, _ = smallest_eigenpair_cold(Am, Mm)
             lams_direct.append(p.lam)
         richardson = lams_direct[-1] + (lams_direct[-1] - lams_direct[-2]) / 3.0
         assert abs(lam_tg - direct.lam) <= 0.05 * abs(direct.lam - richardson)
@@ -218,7 +215,7 @@ class TestTwoGrid:
 def coarse_pair_at(problem, y, m=3, s=8):
     mesh = build_uniform_mesh(m)
     pair, _ = smallest_eigenpair_cold(stiffness_interior(mesh, problem, y[:s]),
-                                      mass_interior(mesh, problem), TOL)
+                                      mass_interior(mesh, problem))
     return mesh, pair
 
 
@@ -321,13 +318,13 @@ class TestMultigridUpdate:
         fine = build_uniform_mesh(level.mesh_exponent)
         coarse = build_uniform_mesh(level.coarse_exponent)
         M = mass_interior(coarse, prob1)
-        shift = ShiftSet(seed=0, n_shifts=1).shift(level.ell, 0, level.s)
+        shift = random_shift(0, level.ell, 0, level.s)
         iterations, pair = [], None
         for k in range(level.n_points):
             y = shift_and_center(lattice_point(zvec, level.n_points, k, dim=level.s),
                                  shift)
             A = stiffness_interior(coarse, prob1, y[:level.coarse_s])
-            pair, _ = eigensolver.smallest_eigenpair(A, M, TOL, warm=pair)
+            pair, _ = eigensolver.smallest_eigenpair(A, M, warm=pair)
             _, _, stats = two_grid_fine_update(prob1, y, coarse, pair, fine, level.s)
             iterations.append(stats.krylov_iterations)
         assert np.mean(iterations) <= 14.0, iterations
@@ -368,7 +365,7 @@ class TestMultigridUpdate:
 class TestWarmStart:
     def test_consistent_matrix_returns_lam(self, prob1, rng):
         A, M = laplacian_pair(3, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         v0, sigma0 = warm_start_from(pair, A, M)
         assert sigma0 == pytest.approx(pair.lam, abs=1e-12)
         assert v0 is pair.u
@@ -378,7 +375,7 @@ class TestWarmStart:
         y = rng.random(8) - 0.5
         A = stiffness_interior(mesh, prob1, y)
         M = mass_interior(mesh, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         eps = 1e-6
         E = sp.identity(A.shape[0], format="csr")
         _, sigma0 = warm_start_from(pair, A + eps * E, M)
@@ -388,14 +385,14 @@ class TestWarmStart:
 
     def test_normalized_vector_gives_quadratic_form(self, prob1):
         A, M = laplacian_pair(3, prob1)
-        pair, _ = smallest_eigenpair_cold(A, M, TOL)
+        pair, _ = smallest_eigenpair_cold(A, M)
         _, sigma0 = warm_start_from(pair, A, M)
         assert sigma0 == pytest.approx(pair.u @ (A @ pair.u), rel=1e-10)
 
     def test_dimension_mismatch(self, prob1):
         A3, M3 = laplacian_pair(3, prob1)
         A4, _ = laplacian_pair(4, prob1)
-        pair, _ = smallest_eigenpair_cold(A3, M3, TOL)
+        pair, _ = smallest_eigenpair_cold(A3, M3)
         with pytest.raises(ValueError):
             warm_start_from(pair, A4, M3)
 
@@ -412,8 +409,8 @@ class TestWarmStart:
         for k in range(16):
             y = shift_and_center(lattice_point(zvec, 16, k, dim=64), shift)
             A = stiffness_interior(mesh, problem, y)
-            cold, _ = eigensolver.smallest_eigenpair(A, M, TOL)
-            warm, _ = eigensolver.smallest_eigenpair(A, M, TOL, warm=warm)
+            cold, _ = eigensolver.smallest_eigenpair(A, M)
+            warm, _ = eigensolver.smallest_eigenpair(A, M, warm=warm)
             assert abs(warm.lam - cold.lam) <= 1e-12 * cold.lam
 
     def test_warm_equals_cold_eigenvalue(self, prob1, rng):
@@ -424,9 +421,9 @@ class TestWarmStart:
         np.clip(y2, -0.5, 0.5, out=y2)
         A1 = stiffness_interior(mesh, prob1, y1)
         A2 = stiffness_interior(mesh, prob1, y2)
-        prev, _ = smallest_eigenpair_cold(A1, M, TOL)
-        cold, _ = smallest_eigenpair_cold(A2, M, TOL)
+        prev, _ = smallest_eigenpair_cold(A1, M)
+        cold, _ = smallest_eigenpair_cold(A2, M)
         v0, sigma0 = warm_start_from(prev, A2, M)
-        warm, warm_stats = rq_iteration(A2, M, v0, sigma0, TOL)
-        assert abs(warm.lam - cold.lam) <= 10 * TOL
+        warm, warm_stats = rq_iteration(A2, M, v0, sigma0)
+        assert abs(warm.lam - cold.lam) <= 10 * RQ_TOL
         assert warm_stats.linear_solves <= 3

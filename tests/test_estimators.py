@@ -167,6 +167,13 @@ class TestMlqmcEstimate:
                            "cost_seconds", "solves", "rq_iters_median", "krylov_iters"]
         assert len(rows) == 3
 
+    def test_needs_a_level(self, prob1, zvec):
+        # the report reads its number of shifts off the level reports
+        with pytest.raises(ValueError, match="at least one level"):
+            mlqmc_estimate(prob1, [], 2, zvec, seed=0)
+        with pytest.raises(ValueError, match="at least one level"):
+            mlmc_estimate(prob1, [], seed=0)
+
     def test_failed_sample_aborts(self, zvec):
         fragile = CoefficientSeries(
             name="fragile",
@@ -293,12 +300,13 @@ class TestAdaptive:
             adaptive_mlqmc(prob1, 0.5, 1, zvec, seed=0)
 
     def test_shared_levels_match_independent_runs(self, prob1, zvec, monkeypatch):
-        # n_initial=1 makes the driver double level 0 at eps = 0.1, so the
-        # sweep revisits both added and doubled levels
+        # starting levels at N = 1 makes the driver double level 0 at
+        # eps = 0.1, so the sweep revisits both added and doubled levels
+        monkeypatch.setattr(estimators, "_N_INITIAL", 1)
         tolerances = [0.2, 0.1, 0.05]
 
         def run(eps, **kwargs):
-            rep = adaptive_mlqmc(prob1, eps, 4, zvec, seed=0, n_initial=1, **kwargs)
+            rep = adaptive_mlqmc(prob1, eps, 4, zvec, seed=0, **kwargs)
             d = rep.to_dict()
             del d["total_cost_seconds"]
             for lv in d["levels"]:

@@ -3,9 +3,9 @@ import pytest
 
 from mlqmc_eig import (
     GeneratingVector,
-    ShiftSet,
     lattice_point,
     load_generating_vector,
+    random_shift,
     shift_and_center,
     shift_average_and_variance,
 )
@@ -115,15 +115,13 @@ class TestShifts:
         assert np.allclose(d_plain, d_shift, atol=1e-14)
 
     def test_shiftset_reproducible(self):
-        s1 = ShiftSet(seed=42, n_shifts=4)
-        s2 = ShiftSet(seed=42, n_shifts=4)
-        assert np.array_equal(s1.shift(2, 1, 16), s2.shift(2, 1, 16))
-        assert not np.array_equal(s1.shift(2, 1, 16), s1.shift(3, 1, 16))
-        assert not np.array_equal(s1.shift(2, 1, 16), s1.shift(2, 2, 16))
+        shift = random_shift(42, 2, 1, 16)
+        assert np.array_equal(shift, random_shift(42, 2, 1, 16))
+        assert not np.array_equal(shift, random_shift(42, 3, 1, 16))
+        assert not np.array_equal(shift, random_shift(42, 2, 2, 16))
 
     def test_shift_in_unit_cube(self):
-        shifts = ShiftSet(seed=0, n_shifts=2)
-        sh = np.stack([shifts.shift(0, r, 32) for r in range(2)])
+        sh = np.stack([random_shift(0, 0, r, 32) for r in range(2)])
         assert sh.shape == (2, 32)
         assert np.all((sh >= 0) & (sh < 1))
 

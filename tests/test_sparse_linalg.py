@@ -17,7 +17,7 @@ from mlqmc_eig import (
     smallest_eigenpair_cold,
     stiffness_interior,
 )
-from mlqmc_eig import sparse_linalg
+from mlqmc_eig import eigensolver, sparse_linalg
 from mlqmc_eig.mesh_fem import prolongation
 from mlqmc_eig.sparse_linalg import matvec, nested_dissection, shifted_operator
 
@@ -93,7 +93,7 @@ def grid_pair(prob1):
     y = np.random.default_rng(7).random(64) - 0.5
     A = stiffness_interior(mesh, prob1, y)
     M = mass_interior(mesh, prob1)
-    pair, _ = smallest_eigenpair_cold(A, M, 1e-8)
+    pair, _ = smallest_eigenpair_cold(A, M)
     return A, M, 0.5 * pair.lam
 
 
@@ -200,7 +200,10 @@ def splu_oracle(A, M, sigma):
 
 @pytest.fixture(scope="module")
 def spectra(prob1, prob2):
-    """(A, M, lambda_1 by the package's cold solve, lambda_2) per problem and mesh."""
+    """(A, M, lambda_1 by the package's cold solve, lambda_2) per problem and mesh.
+
+    lambda_1 is solved to an RQ tolerance of 1e-12, so that the shift
+    lambda_1 is as near singular as the solver can place it."""
     out = {}
     for name, problem in (("p1", prob1), ("p2", prob2)):
         for m in range(3, 7):
@@ -208,7 +211,9 @@ def spectra(prob1, prob2):
             y = np.random.default_rng(m).random(16) - 0.5
             A = stiffness_interior(mesh, problem, y)
             M = mass_interior(mesh, problem)
-            pair, _ = smallest_eigenpair_cold(A, M, 1e-12)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(eigensolver, "RQ_TOL", 1e-12)
+                pair, _ = smallest_eigenpair_cold(A, M)
             lam2 = eigsh(A.tocsc(), k=2, M=M.tocsc(), sigma=0.0, which="LM",
                          return_eigenvectors=False).max()
             out[name, m] = A, M, pair.lam, lam2
