@@ -185,6 +185,9 @@ class ExperimentConfig:
                      options=EstimatorOptions(**fields["options"]),
                      study=SimpleNamespace(**fields["study"]), **fields[""])
 
+        if config.tolerances and config.level_points:
+            raise ConfigError("give 'tolerances' or 'levels', not both: adaptive runs "
+                              "pick their own sample counts per level")
         if config.estimator in ("qmc", "mlqmc") and config.n_shifts < 2:
             raise ConfigError("QMC estimators need R >= 2")
         points = {"mlqmc": config.level_points, "mlmc": config.level_points,

@@ -4,12 +4,12 @@ Each mesh halves the unit square into ``n = 2^m`` intervals per side and
 splits every cell along the bottom-left to top-right diagonal, so meshes
 are nested and island boundaries at multiples of 1/8 stay mesh-aligned.
 Element integrals use the 3-point edge-midpoint rule (exact for
-quadratic integrands).  On a uniform mesh the quadrature nodes form six
-tensor grids, one per node of a cell: node q of cell (r, c) sits at
-((c + xi_q) h, (r + eta_q) h).  Coefficients are evaluated on those
-grids, as pairs ``(x1, x2)`` of a row and a column of coordinates (see
-``problems``), so a term f(x1) g(x2) costs O(n) sines and O(n^2)
-products on a mesh with n cells per side.
+quadratic integrands), stated once: row q of ``_PHI`` is node q in
+barycentric coordinates.  On a uniform mesh the quadrature nodes form
+six tensor grids, one per node of a cell.  Coefficients are evaluated
+on those grids, as pairs ``(x1, x2)`` of a row and a column of
+coordinates (see ``problems``), so a term f(x1) g(x2) costs O(n) sines
+and O(n^2) products on a mesh with n cells per side.
 
 Assembly is interior-only: the stiffness and mass matrices live on the
 interior DOFs (homogeneous Dirichlet boundary), and both are built on
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from .problems import CoefficientSeries, series_values
 
-# basis values at the edge midpoints (p0+p1)/2, (p1+p2)/2, (p2+p0)/2
+# row q: quadrature node q in barycentric coordinates, so the basis values there
 _PHI = np.array([
     [0.5, 0.5, 0.0],
     [0.0, 0.5, 0.5],
@@ -120,8 +120,8 @@ class _Geometry:
 
     ``quad_x1[k, c]`` and ``quad_x2[k, r]`` are the coordinates of the
     quadrature node k = 3 t + q (triangle t, node q of ``_PHI``) of cell
-    (r, c): the midpoint of the edge from vertex q to vertex q + 1,
-    computed as 0.5 * (p_q + p_{q+1}) from the node coordinates.
+    (r, c): sum_i _PHI[q, i] p_i over the vertices p_i of the triangle,
+    so the nodes follow the table.
 
     ``indices`` and ``indptr`` (int32) are the interior CSR pattern,
     read off the 7-point stencil of ``_NEIGHBOURS`` with no sort.
@@ -137,11 +137,11 @@ class _Geometry:
         self.area = mesh.h * mesh.h / 2.0
         self.stencils = _STENCILS / (mesh.h * mesh.h)   # exact: h^2 = 4^-m
         line = np.arange(n + 1) * mesh.h                # node coordinates
-        cells = np.arange(n)
-        start = _VERTICES.reshape(6, 2)                 # vertex q of node 3t + q
-        end = np.roll(_VERTICES, -1, axis=1).reshape(6, 2)  # vertex q + 1
-        self.quad_x1 = 0.5 * (line[cells + start[:, :1]] + line[cells + end[:, :1]])
-        self.quad_x2 = 0.5 * (line[cells + start[:, 1:]] + line[cells + end[:, 1:]])
+        # node q of triangle t at sum_i _PHI[q, i] p_i, added left to right;
+        # p[d, t, i] is coordinate d of vertex i in each cell
+        p = line[np.arange(n) + np.moveaxis(_VERTICES, 2, 0)[..., None]]
+        nodes = sum(_PHI[:, i, None] * p[:, :, i, None] for i in range(3))  # (d, t, q, cell)
+        self.quad_x1, self.quad_x2 = nodes.reshape(2, 6, n)
 
         # interior CSR pattern: node (r, c) couples to (r + dr, c + dc)
         # of _NEIGHBOURS[k] when both are interior; row-major over
@@ -236,7 +236,7 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
 
     Entry (i, j) approximates the integral of
     a^s(x,y) grad(phi_i).grad(phi_j) + b^s(x,y) phi_i phi_j by the
-    edge-midpoint rule; the truncation dimension s is len(y).  A zero y
+    quadrature rule of ``_PHI``; the truncation dimension s is len(y).  A zero y
     of any length (also empty) gives the mean-field operator A(0): it is
     assembled once per (mesh, problem) from a0 and b0 alone, cached, and
     returned read-only, the same object on every call.  It is bitwise

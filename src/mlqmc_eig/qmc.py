@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-BUILTIN_VECTOR_NAME = "lattice-182667-1024-1048576.256"
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,12 @@ def load_generating_vector(path, min_dimension: int | None = None,
 
 
 def default_generating_vector(min_dimension: int | None = None) -> GeneratingVector:
-    """Load the generating vector bundled with the package."""
-    ref = resources.files("mlqmc_eig").joinpath("data", BUILTIN_VECTOR_NAME)
-    with resources.as_file(ref) as path:
-        return load_generating_vector(path, min_dimension=min_dimension)
+    """The built-in Korobov rule z_j = 182667^(j-1) mod 2^20, j = 1..256, for N <= 2^20."""
+    if min_dimension is not None and min_dimension > 256:
+        raise ValueError("the built-in vector has 256 components, "
+                         f"need at least {min_dimension}")
+    z = [pow(182667, j, 2 ** 20) for j in range(256)]
+    return GeneratingVector(np.array(z, dtype=np.int64), 2 ** 20)
 
 
 def _check_n(z: GeneratingVector, n: int):

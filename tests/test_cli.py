@@ -3,11 +3,18 @@ import os
 import re
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mlqmc_eig import build_uniform_mesh, cli, smallest_eigenpair_cold
+from mlqmc_eig import (
+    build_uniform_mesh,
+    cli,
+    mass_interior,
+    smallest_eigenpair_cold,
+    stiffness_interior,
+)
 from mlqmc_eig.cli import (
     ConfigError,
     ExperimentConfig,
@@ -34,6 +41,8 @@ def write_config(tmp_path, **overrides):
         "s": 64,
         "out_dir": str(tmp_path / "out"),
     }
+    if "tolerances" in overrides:
+        del raw["levels"]   # adaptive runs pick their own counts
     raw.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -81,6 +90,8 @@ MALFORMED = [
     pytest.param({"s": 300}, "need at least 300", id="vector-too-short"),
     pytest.param({"generating_vector": "missing.txt"}, "missing.txt",
                  id="vector-missing"),
+    pytest.param({"tolerances": [0.5], "levels": [32, 16]}, "'tolerances' or 'levels'",
+                 id="tolerances-with-levels"),
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -309,6 +320,15 @@ class TestRun:
             run_experiment(config, out)
         assert not out.exists() or not any(out.iterdir())
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("injected")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="injected"):
+            cli._write(out, {"report.json": "{}\n", "levels.csv": "level\n"})
+        assert list(out.iterdir()) == []
+
     def test_mc_estimator_run(self, tmp_path):
         path = write_config(tmp_path, estimator="mc", N=8, mesh_exponent=3)
         status = main(["run", "--config", str(path)])
@@ -373,6 +393,34 @@ class TestStudy:
             convergence_study(config, out)
         assert not out.exists() or not any(out.iterdir())
 
+    def test_study_through_main(self, tmp_path, capsys):
+        path = write_config(tmp_path, study={"exponents": [3, 4, 5]})
+        out = tmp_path / "study"
+        assert main(["study", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fitted rate ")
+        assert (out / "study.csv").exists() and (out / "study_summary.json").exists()
+
+    def test_problem2_reference_is_richardson(self, tmp_path):
+        # no analytic value for Problem 2: the reference extrapolates the two
+        # finest cold eigenvalues at rate 2
+        path = write_config(tmp_path, problem={"name": "problem2"},
+                            study={"mode": "direct", "exponents": [3, 4, 5]})
+        config = ExperimentConfig.from_file(path)
+        summary = convergence_study(config)
+        problem, y = config.problem(), np.zeros(64)
+        lams = []
+        for m in (3, 4, 5):
+            mesh = build_uniform_mesh(m)
+            pair, _ = smallest_eigenpair_cold(stiffness_interior(mesh, problem, y),
+                                              mass_interior(mesh, problem))
+            lams.append(pair.lam)
+        assert summary["lambda_h"] == lams
+        assert summary["reference"] == lams[2] + (lams[2] - lams[1]) / 3.0
+        rows = (Path(config.out_dir) / "study.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == \
+            [abs(lam - summary["reference"]) for lam in lams]
+
     def test_two_grid_rate_near_two(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -381,6 +429,31 @@ class TestStudy:
         )
         summary = convergence_study(ExperimentConfig.from_file(path))
         assert 1.8 <= summary["fitted_rate"] <= 2.2
+
+
+def fake_report(counts, scale, cost):
+    """A report whose level l has variance scale[l] / N_l at work N_l cost[l]."""
+    levels = [SimpleNamespace(variance=v / n, work_units=n * c)
+              for n, v, c in zip(counts, scale, cost)]
+    return SimpleNamespace(levels=levels,
+                           total_variance=sum(lv.variance for lv in levels))
+
+
+def test_grow_doubles_the_largest_variance_per_work():
+    # the compare tests run at eps = 0.2, where no baseline ever doubles
+    seen = []
+
+    def make(counts):
+        seen.append(list(counts))
+        return fake_report(counts, [8.0, 1.0], [1.0, 1.0])
+    # variance per work 8/N0^2 against 1/N1^2: level 0 until N0 = 8, then
+    # level 1; the total variance 8/N0 + 1/N1 meets 1.3 at [8, 4]
+    assert cli._grow(make, [2, 2], 1.3, 64).total_variance == 1.25
+    assert seen == [[2, 2], [4, 2], [8, 2], [8, 4]]
+    # past the cap of 4 points it gives up
+    seen.clear()
+    assert cli._grow(make, [2, 2], 1.3, 4) is None
+    assert seen == [[2, 2], [4, 2]]
 
 
 class TestCompare:
@@ -435,6 +508,23 @@ class TestCompare:
                             estimators=["mlqmc", "mc"], R=4)
         out = tmp_path / "compare"
         assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "cost_vs_tolerance.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["0.2", "mlqmc"],
+                                                              ["0.2", "mc"]]
+
+    def test_missed_baseline_exits_1_without_its_row(self, tmp_path, monkeypatch):
+        # a baseline that cannot meet its variance target leaves out its row
+        grow = cli._grow
+
+        def qmc_misses(make, counts, var_target, cap):
+            if make(list(counts)).kind == "qmc":
+                return None
+            return grow(make, counts, var_target, cap)
+        monkeypatch.setattr(cli, "_grow", qmc_misses)
+        path = write_config(tmp_path, tolerances=[0.2], estimators=["mlqmc", "qmc", "mc"],
+                            R=4)
+        out = tmp_path / "compare"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
         rows = (out / "cost_vs_tolerance.csv").read_text().splitlines()
         assert [row.split(",")[:2] for row in rows[1:]] == [["0.2", "mlqmc"],
                                                               ["0.2", "mc"]]

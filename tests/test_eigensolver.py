@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from mlqmc_eig import (
     CoefficientSeries,
     LevelParams,
     NoConvergenceError,
+    SingularShiftError,
+    SolveStats,
     build_uniform_mesh,
     lattice_point,
     level_params,
@@ -127,6 +130,80 @@ class TestColdStart:
         # degenerate histories fall back to lam
         assert _gap_estimate([5.0, 5.0, 5.0], 5.0) == 5.0
         assert _gap_estimate([7.0, 6.0, 5.0], 5.0) == 5.0
+
+
+def cold_case(prob):
+    """P1 at m = 4 and y = 0.3 (s = 64): a plain cold solve takes four
+    factorizations, one at shift 0, two RQ steps and the verify step."""
+    mesh = build_uniform_mesh(4)
+    return stiffness_interior(mesh, prob, np.full(64, 0.3)), mass_interior(mesh, prob)
+
+
+class TestSafeguardFailures:
+    """The cold solve's restart and failure paths, reached by injection."""
+
+    def test_restarts_after_rq_no_convergence(self, prob1, monkeypatch):
+        A, M = cold_case(prob1)
+        plain, plain_stats = smallest_eigenpair_cold(A, M)
+        calls = []
+        rq_iteration = eigensolver.rq_iteration
+
+        def first_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoConvergenceError("injected")
+            return rq_iteration(*args)
+        monkeypatch.setattr(eigensolver, "rq_iteration", first_fails)
+        pair, stats = smallest_eigenpair_cold(A, M)
+        assert len(calls) == 2
+        assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
+        # the failed start costs its shift-0 factorization; RQ counts only once
+        assert (plain_stats.factorizations, stats.factorizations) == (4, 5)
+        assert stats.rq_iterations == plain_stats.rq_iterations
+
+    def test_restarts_after_singular_verify_shift(self, prob1, monkeypatch):
+        A, M = cold_case(prob1)
+        plain, plain_stats = smallest_eigenpair_cold(A, M)
+        failed = []
+        factorize = eigensolver._factorize_nudged
+
+        def verify_fails_once(A, M, sigma, stats):
+            # only the verify factorization the cold solve makes itself at
+            # lam - rho/2; its shift-0 one and the RQ steps run as usual
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "smallest_eigenpair_cold" and sigma != 0.0 and not failed:
+                failed.append(sigma)
+                raise SingularShiftError("injected")
+            return factorize(A, M, sigma, stats)
+        monkeypatch.setattr(eigensolver, "_factorize_nudged", verify_fails_once)
+        pair, stats = smallest_eigenpair_cold(A, M)
+        assert len(failed) == 1 and 0.0 < failed[0] < plain.lam
+        assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
+        assert stats.factorizations > plain_stats.factorizations
+
+    def test_raises_when_dominance_check_keeps_failing(self, prob1, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_VERIFY_ANGLE", -1.0)
+        with pytest.raises(NoConvergenceError, match="kept failing the dominance check"):
+            smallest_eigenpair_cold(*cold_case(prob1))
+
+    def test_nudges_then_raises_on_a_singular_shift(self, prob1, monkeypatch):
+        shifts = []
+
+        def always_singular(A, M, sigma):
+            shifts.append(sigma)
+            raise SingularShiftError("injected")
+        monkeypatch.setattr(eigensolver, "factorize_shifted", always_singular)
+        stats = SolveStats()
+        with pytest.raises(SingularShiftError, match="still singular after 3 nudges"):
+            eigensolver._factorize_nudged(*cold_case(prob1), 20.0, stats)
+        assert stats.factorizations == 4
+        assert shifts[0] == 20.0 and all(b > a for a, b in zip(shifts, shifts[1:]))
+
+    def test_rq_iteration_cap_raises(self, prob1, monkeypatch):
+        monkeypatch.setattr(eigensolver, "_MAX_RQ_ITER", 1)
+        A, M = cold_case(prob1)
+        with pytest.raises(NoConvergenceError, match="did not converge in 1 iterations"):
+            rq_iteration(A, M, np.ones(A.shape[0]), 0.0)
 
 
 class TestMonotoneConvergence:

@@ -134,6 +134,15 @@ class TestMlqmcEstimate:
         rep = mlqmc_estimate(prob1, default_levels([64, 32]), 4, zvec, seed=2)
         assert rep.levels[1].variance < rep.levels[0].variance
 
+    def test_problem1_level_ratios_near_four(self, prob1, zvec):
+        # the adaptive driver's bias estimate assumes O(h^2) eigenvalue error
+        # (_BIAS_ALPHA = 2), so Q_l / Q_(l+1) near 2^2; 3.98-4.01 measured
+        assert estimators._BIAS_ALPHA == 2.0
+        rep = mlqmc_estimate(prob1, default_levels([4] * 5), 2, zvec, seed=0)
+        q = [lv.q_hat for lv in rep.levels]
+        ratios = [q[ell] / q[ell + 1] for ell in (1, 2, 3)]
+        assert all(3.0 <= r <= 5.0 for r in ratios), ratios
+
     def test_determinism_and_threads(self, prob1, zvec):
         levels = default_levels([16, 16])
         a = mlqmc_estimate(prob1, levels, 2, zvec, seed=11)

@@ -85,12 +85,20 @@ def sort_pattern(mesh):
     return indices, np.cumsum(indptr, dtype=np.int32), slots, keep
 
 
+# the quadrature nodes of a triangle in barycentric coordinates, row q for
+# node q: the edge midpoints (p0+p1)/2, (p1+p2)/2, (p2+p0)/2.  The oracles'
+# own statement of the rule, apart from ``mesh_fem._PHI``
+QUAD_NODES = np.array([[0.5, 0.5, 0.0],
+                       [0.0, 0.5, 0.5],
+                       [0.5, 0.0, 0.5]])
+
+
 def naive_assembly(mesh, a_fn, b_fn, c_fn):
     """Dense per-element assembly oracle with its own basis-function math.
 
     Affine basis coefficients come from solving 3x3 Vandermonde systems,
     and the coefficients a, b, c are evaluated by the caller-supplied
-    closed-form functions at the edge midpoints.
+    closed-form functions at the nodes of ``QUAD_NODES``.
     """
     n = mesh.n_nodes
     A = np.zeros((n, n))
@@ -101,10 +109,10 @@ def naive_assembly(mesh, a_fn, b_fn, c_fn):
         vand = np.column_stack([np.ones(3), coords])
         basis = np.linalg.solve(vand, np.eye(3))   # column i: coeffs of phi_i
         area = 0.5 * abs(np.linalg.det(vand))
-        mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
+        nodes_q = QUAD_NODES @ coords
         w = area / 3.0
         for q in range(3):
-            x = mids[q]
+            x = nodes_q[q]
             phi = basis[0] + basis[1] * x[0] + basis[2] * x[1]
             grads = basis[1:]                       # (2, 3), column i: grad phi_i
             aq, bq, cq = a_fn(x), b_fn(x), c_fn(x)
@@ -173,9 +181,12 @@ def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
 
 def pointwise_quad_points(mesh):
     """The quadrature nodes of every element, (nel, 3, 2), computed from
-    the element coordinates as the point-wise assembly held them."""
-    p = element_coords(mesh)
-    return 0.5 * (p + np.roll(p, -1, axis=1))
+    the element coordinates and ``QUAD_NODES``, as the point-wise
+    assembly held them: node q is sum_i QUAD_NODES[q, i] p_i, summed
+    left to right."""
+    w = QUAD_NODES[:, :, None]
+    p = element_coords(mesh)[:, None]
+    return w[:, 0] * p[:, :, 0] + w[:, 1] * p[:, :, 1] + w[:, 2] * p[:, :, 2]
 
 
 def pointwise_coefficients(mesh, problem, y):
@@ -506,6 +517,19 @@ class TestGridCoefficients:
         for d in (0, 1):
             on_grid = geo.evaluate(lambda x: np.broadcast_arrays(*x)[d])
             assert np.array_equal(bits(on_grid), bits(pts[:, d]))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_nodes_follow_the_basis_table(self, m, monkeypatch):
+        # with the interior 3-point Gauss rows in _PHI, node q of every
+        # triangle sits at (4 p_q + p_(q+1) + p_(q+2)) / 6
+        gauss = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 6.0
+        monkeypatch.setattr(mesh_fem, "_PHI", gauss)
+        geo = mesh_fem._Geometry(build_uniform_mesh(m))
+        p = element_coords(geo.mesh)
+        expected = (4.0 * p + np.roll(p, -1, axis=1) + np.roll(p, -2, axis=1)) / 6.0
+        for d in (0, 1):
+            on_grid = geo.evaluate(lambda x: np.broadcast_arrays(*x)[d])
+            assert np.abs(on_grid - expected[:, :, d].ravel()).max() <= 1e-15
 
     @pytest.mark.parametrize("m", range(3, 7))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],

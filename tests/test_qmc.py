@@ -3,6 +3,7 @@ import pytest
 
 from mlqmc_eig import (
     GeneratingVector,
+    default_generating_vector,
     lattice_point,
     load_generating_vector,
     random_shift,
@@ -52,6 +53,18 @@ class TestGeneratingVector:
         assert np.array_equal(zvec.z[:2], [1, 182667])
         assert np.all(zvec.z % 2 == 1)
         assert np.all((0 < zvec.z) & (zvec.z < zvec.n_max))
+
+    def test_builtin_vector_is_the_korobov_rule(self):
+        # z_1 = 1, z_(j+1) = 182667 z_j mod 2^20, by repeated multiplication
+        expected = [1]
+        while len(expected) < 256:
+            expected.append(expected[-1] * 182667 % 2 ** 20)
+        z = default_generating_vector(min_dimension=256)
+        assert z.z.tolist() == expected
+        assert z.n_max == 2 ** 20
+        assert z.z[255] == 6691
+        with pytest.raises(ValueError, match="need at least 257"):
+            default_generating_vector(min_dimension=257)
 
     def test_even_components_rejected(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,29 @@ class TestOrdering:
             assert found[1] is found[0]
             assert found[0].perm.size == build_uniform_mesh(m).n_interior
 
+    def test_cache_drops_its_oldest_ordering(self, prob1, monkeypatch):
+        # past _ORDERINGS_KEPT patterns the first one cached is dropped, and
+        # the next factorization on that mesh builds its ordering again
+        built = []
+
+        class Counted(sparse_linalg._Ordering):
+            def __init__(self, indptr, indices, perm):
+                built.append(indptr.size - 1)
+                super().__init__(indptr, indices, perm)
+        monkeypatch.setattr(sparse_linalg, "_Ordering", Counted)
+        monkeypatch.setattr(sparse_linalg, "_orderings", {})
+        monkeypatch.setattr(sparse_linalg, "_ORDERINGS_KEPT", 2)
+        ops = {}
+        for m in (3, 4, 5, 3):
+            mesh = build_uniform_mesh(m)
+            A = stiffness_interior(mesh, prob1, np.full(8, 0.1))
+            ops.setdefault(m, []).append(factorize_shifted(A, mass_interior(mesh, prob1), 1.0))
+        sizes = [build_uniform_mesh(m).n_interior for m in (3, 4, 5, 3)]
+        assert built == sizes
+        assert len(sparse_linalg._orderings) == 2
+        assert ops[3][1].ordering is not ops[3][0].ordering
+        assert np.array_equal(ops[3][1].ordering.perm, ops[3][0].ordering.perm)
+
     def test_threads_share_one_ordering(self, prob1):
         # a pattern no factorization has seen yet, factored from several
         # threads at once: all of them must get the one ordering built
