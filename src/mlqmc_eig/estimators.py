@@ -178,7 +178,7 @@ def sample_level_difference(problem: CoefficientSeries, level: LevelParams, y,
     """One telescoped difference lambda^ell - lambda^(ell-1) at parameter y.
 
     For ell = 0 this is the direct eigenvalue at the coarsest level,
-    warm-started when a previous pair is supplied and a safeguarded cold
+    warm-started when a previous pair is supplied and a certified cold
     solve otherwise.  For ell >= 1 one coarse eigensolve feeds two
     shifted fine solves, one per level of the difference; the returned
     coarse pair seeds the warm start of the next sample in the same

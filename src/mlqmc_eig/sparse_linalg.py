@@ -190,20 +190,34 @@ class FactorizedOperator:
             raise SingularShiftError(
                 f"factorization at shift {sigma:.17g} is singular: {exc}"
             ) from None
-        # U's diagonal; the raw buffers run past the last column's end
+        # U's diagonal is the last stored entry of each column (no column is
+        # empty: gstrf raises on an exactly zero pivot); a column whose last
+        # stored row is not its own has no stored diagonal and a zero pivot
         data, rows, indptr = self._lu.U
-        end = indptr[-1]
-        columns = np.repeat(np.arange(self.n, dtype=rows.dtype), np.diff(indptr))
-        pivots = np.abs(data[:end][rows[:end] == columns])
-        pivot_max = pivots.max(initial=0.0)
-        # a column of U without a stored diagonal has a zero pivot
-        pivot_min = pivots.min() if pivots.size == self.n else 0.0
+        last = indptr[1:] - 1
+        self._pivots = np.where(rows[last] == np.arange(self.n), data[last], 0.0)
+        pivots = np.abs(self._pivots)
+        pivot_max, pivot_min = pivots.max(), pivots.min()
         self.singularity = float(pivot_min / pivot_max) if pivot_max > 0 else 0.0
         if pivot_max == 0.0 or self.singularity < _PIVOT_RTOL:
             raise SingularShiftError(
                 f"shift {sigma:.17g} is singular to tolerance "
                 f"(pivot ratio {self.singularity:.3e})"
             )
+
+    @property
+    def negative_pivots(self) -> int | None:
+        """Eigenvalues of (A, M) below sigma, or None where unknown.
+
+        Without row exchanges the factorization of the symmetric A - sigma*M
+        is L D L^T with D the diagonal of U, so by Sylvester's law of
+        inertia the negative pivots count the eigenvalues below sigma.
+        SuperLU's partial pivoting may exchange rows; the count is then
+        unknown.
+        """
+        if not np.array_equal(self._lu.perm_r, np.arange(self.n)):
+            return None
+        return int(np.count_nonzero(self._pivots < 0.0))
 
     @property
     def nnz(self) -> int:

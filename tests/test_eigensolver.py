@@ -134,7 +134,7 @@ class TestColdStart:
 
 def cold_case(prob):
     """P1 at m = 4 and y = 0.3 (s = 64): a plain cold solve takes four
-    factorizations, one at shift 0, two RQ steps and the verify step."""
+    factorizations, one at shift 0, two RQ steps and the certifying one."""
     mesh = build_uniform_mesh(4)
     return stiffness_interior(mesh, prob, np.full(64, 0.3)), mass_interior(mesh, prob)
 
@@ -157,9 +157,55 @@ class TestSafeguardFailures:
         pair, stats = smallest_eigenpair_cold(A, M)
         assert len(calls) == 2
         assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
-        # the failed start costs its shift-0 factorization; RQ counts only once
-        assert (plain_stats.factorizations, stats.factorizations) == (4, 5)
+        # the failed start made no RQ step, and its shift-0 factorization
+        # serves the restart too
+        assert (plain_stats.factorizations, stats.factorizations) == (4, 4)
         assert stats.rq_iterations == plain_stats.rq_iterations
+
+    def test_counts_the_work_of_a_failed_rq_attempt(self, prob1, monkeypatch):
+        A, M = cold_case(prob1)
+        plain, plain_stats = smallest_eigenpair_cold(A, M)
+        calls = []
+        rq_iteration = eigensolver.rq_iteration
+
+        def first_capped(*args):
+            # the first attempt takes one RQ step, then gives up
+            calls.append(args)
+            with monkeypatch.context() as patch:
+                if len(calls) == 1:
+                    patch.setattr(eigensolver, "_MAX_RQ_ITER", 1)
+                return rq_iteration(*args)
+        monkeypatch.setattr(eigensolver, "rq_iteration", first_capped)
+        pair, stats = smallest_eigenpair_cold(A, M)
+        assert len(calls) == 2
+        assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
+        # (factorizations, solves, RQ steps): plain is shift 0 with five
+        # power solves, two RQ steps and the certificate; the restart adds
+        # the failed step and five more power solves, and no shift-0 factorization
+        counts = [(st.factorizations, st.linear_solves, st.rq_iterations)
+                  for st in (plain_stats, stats)]
+        assert counts == [(4, 7, 2), (5, 13, 3)]
+
+    def test_restarts_when_rq_lands_on_the_second_eigenvalue(self, prob1, monkeypatch):
+        # an RQ attempt started at the second eigenpair converges there; a
+        # check that accepts any converged pair returns lambda_2 = 49.968
+        mesh = build_uniform_mesh(4)
+        A = stiffness_interior(mesh, prob1, np.random.default_rng(0).random(64) - 0.5)
+        M = mass_interior(mesh, prob1)
+        lams, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
+        assert lams[:2] == pytest.approx([19.858, 49.968], abs=1e-3)
+        calls = []
+        rq_iteration = eigensolver.rq_iteration
+
+        def first_to_lambda_2(A, M, v, sigma):
+            calls.append(sigma)
+            if len(calls) == 1:
+                return rq_iteration(A, M, vecs[:, 1], lams[1])
+            return rq_iteration(A, M, v, sigma)
+        monkeypatch.setattr(eigensolver, "rq_iteration", first_to_lambda_2)
+        pair, _ = smallest_eigenpair_cold(A, M)
+        assert pair.lam == pytest.approx(lams[0], rel=1e-13, abs=0.0)
+        assert len(calls) == 2
 
     def test_restarts_after_singular_verify_shift(self, prob1, monkeypatch):
         A, M = cold_case(prob1)
@@ -182,7 +228,8 @@ class TestSafeguardFailures:
         assert stats.factorizations > plain_stats.factorizations
 
     def test_raises_when_dominance_check_keeps_failing(self, prob1, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_VERIFY_ANGLE", -1.0)
+        # no factorization certifies: its inertia is never known
+        monkeypatch.setattr(eigensolver.FactorizedOperator, "negative_pivots", None)
         with pytest.raises(NoConvergenceError, match="kept failing the dominance check"):
             smallest_eigenpair_cold(*cold_case(prob1))
 

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 from scipy.sparse.linalg._dsolve import _superlu
@@ -285,6 +286,30 @@ class TestLeanFactorization:
         assert op.nnz == nnz
         b = rng.standard_normal(A.shape[0])
         assert op.solve(b).tobytes() == solve(b).tobytes()
+
+
+class TestInertia:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("problem", ["prob1", "prob2"])
+    def test_negative_pivots_against_dense_spectrum(self, problem, m, request):
+        mesh = build_uniform_mesh(m)
+        A = stiffness_interior(mesh, request.getfixturevalue(problem),
+                               np.random.default_rng(m).random(16) - 0.5)
+        M = mass_interior(mesh, request.getfixturevalue(problem))
+        lams = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        for sigma in (0.0, lams[0] / 2):
+            assert factorize_shifted(A, M, sigma).negative_pivots == 0
+        # between lambda_1 and lambda_2 the count is one, or unknown where
+        # SuperLU exchanged rows, and never zero
+        mid_gap = factorize_shifted(A, M, (lams[0] + lams[1]) / 2).negative_pivots
+        assert mid_gap in (1, None)
+
+    def test_counts_eigenvalues_below_the_shift_without_row_exchanges(self):
+        A = sp.diags([3.0, 1.0, 4.0, 2.0]).tocsr()
+        M = sp.identity(4, format="csr")
+        counts = [factorize_shifted(A, M, sigma).negative_pivots
+                  for sigma in (0.5, 1.5, 2.5, 3.5, 4.5)]
+        assert counts == [0, 1, 2, 3, 4]
 
 
 class TestMatvec:
