@@ -4,10 +4,19 @@ Rayleigh quotient iteration does the heavy lifting: each step solves
 (A - sigma_k M) w = M v_k and updates the shift with the Rayleigh
 quotient, which converges cubically near a simple eigenpair.  Cold
 starts take a few inverse-power iterations so that the iteration lands
-on the smallest eigenvalue, and each result is certified: the inertia
-of one factorization at lambda - rho/2, rho a crude gap estimate, shows
-that no eigenvalue of (A, M) lies below that shift (Sylvester's law of
-inertia, as in spectrum slicing: Parlett 1980, Ericsson & Ruhe 1980).
+on the smallest eigenvalue, and each result is certified by the
+inertia of one factorization below it (Sylvester's law of inertia, as
+in spectrum slicing: Parlett 1980, Ericsson & Ruhe 1980).  Up to
+``_BANDED_MAX_DOFS`` interior DOFs (h = 1/128) both positive definite
+factorizations of a cold solve, at shift 0 for the inverse-power steps
+and at the certifying shift lambda (1 - ``_CERTIFY_MARGIN``), are
+banded Cholesky (``sparse_linalg.BandedCholesky``), and the certificate
+is that the second one succeeds: then no eigenvalue of (A, M) lies
+within a relative 1e-6 below lambda or under it, so lambda is the
+smallest.  Above the cutoff both are SuperLU factorizations, and the
+certifying shift is lambda - rho/2, rho a crude gap estimate capped at
+lambda, certified where SuperLU exchanged no rows and no pivot is
+negative.  Every RQ step factors an indefinite operator with SuperLU.
 Warm starts reuse the eigenvector of a nearby parameter sample.  The
 two-grid scheme (Xu & Zhou 2001) computes a fine-mesh eigenvalue from
 one coarse eigensolve plus one shifted solve per fine mesh: its callers
@@ -33,10 +42,11 @@ MINRES itself is ``_minres``, scipy's recurrences and stop tests from
 a zero start with no shift, no printing and in-place vector updates.
 
 The solvers reach scipy through two private entry points, verified on
-scipy 1.17.1 (see ``sparse_linalg``): every factorization is one call of
-SuperLU's ``_superlu.gstrf`` inside ``sparse_linalg.factorize_shifted``,
-and every sparse product on the hot path (right-hand sides, Rayleigh
-quotients, the V-cycle and the MINRES operator) is ``sparse_linalg.matvec``,
+scipy 1.17.1 (see ``sparse_linalg``): every factorization but the banded
+Cholesky ones is one call of SuperLU's ``_superlu.gstrf`` inside
+``sparse_linalg.factorize_shifted``, and every sparse product on the hot
+path (right-hand sides, Rayleigh quotients, the V-cycle and the MINRES
+operator) is ``sparse_linalg.matvec``,
 which runs ``_sparsetools.csr_matvec``, the kernel of ``S @ x``.  The
 oracle tests in ``tests/test_sparse_linalg.py`` pin both to the public
 ``splu`` and ``@``.
@@ -64,7 +74,9 @@ from .mesh_fem import (
 )
 from .problems import CoefficientSeries
 from .sparse_linalg import (
+    BandedCholesky,
     FactorizedOperator,
+    NotPositiveDefiniteError,
     SingularShiftError,
     factorize_shifted,
     m_norm,
@@ -79,8 +91,19 @@ RQ_TOL = 5e-8
 _MAX_RQ_ITER = 50
 _SHIFT_NUDGE = 1e-10
 _MAX_SHIFT_ATTEMPTS = 3
-_POWER_STEPS = 5
+_POWER_STEPS = 10
 _MAX_RESTARTS = 2
+
+# cold solves on at most this many interior DOFs (h = 1/128) factor their
+# two positive definite operators by banded Cholesky.  A whole cold solve,
+# Problem 1 at a random y, one BLAS thread, banded against SuperLU: 18 vs
+# 28 ms at h = 1/64 and 105 vs 144 ms at 1/128 (medians of three), but
+# 942 vs 798 ms at 1/256 (two runs), where the band takes 134 MB
+_BANDED_MAX_DOFS = 127 ** 2
+# the banded certificate factors at lambda (1 - _CERTIFY_MARGIN): far
+# above the RQ tolerance in relative terms, and far below the relative
+# gap to the second eigenvalue
+_CERTIFY_MARGIN = 1e-6
 
 # two-grid fine solves on meshes with at least this many interior DOFs
 # (h = 1/64) use preconditioned MINRES.  Median of 25 updates, assembly
@@ -235,19 +258,31 @@ def _gap_estimate(power_rqs: list[float], lam: float) -> float:
 def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
     """Smallest eigenpair from a deterministic cold start.
 
-    Five inverse-power iterations from the all-ones vector bias the
-    start towards the smallest eigenpair before handing over to RQ
-    iteration.  The converged pair is accepted only if the factorization
-    of A - sigma*M at sigma = lambda - rho/2, rho a crude gap estimate,
-    certifies that no eigenvalue of (A, M) lies below sigma (no row
-    exchange and no negative pivot).  Otherwise the solve restarts from
-    a seeded random vector, with the same shift-0 factorization; the
-    work of a failed RQ iteration is counted.
+    ``_POWER_STEPS`` inverse-power iterations from the all-ones vector
+    bias the start towards the smallest eigenpair before handing over to
+    RQ iteration.  The converged pair is accepted only if a
+    factorization below lambda certifies by its inertia that lambda is
+    the smallest eigenvalue.  Up to ``_BANDED_MAX_DOFS`` interior DOFs
+    the shift-0 operator of the power steps is a banded Cholesky
+    factorization, and the certificate is that a banded Cholesky
+    factorization at lambda (1 - ``_CERTIFY_MARGIN``) succeeds, so no
+    eigenvalue lies below that shift.  Above the cutoff both are SuperLU
+    factorizations, and the certificate is SuperLU's at lambda - rho/2,
+    rho a crude gap estimate, with no row exchange and no negative
+    pivot.  A pair that is not certified restarts the solve from a
+    seeded random vector, with the same shift-0 factorization; the work
+    of a failed RQ iteration is counted, and every banded factorization
+    and solve counts as a factorization and a solve.
     """
     stats = SolveStats()
     n = A.shape[0]
+    banded = n <= _BANDED_MAX_DOFS
     v = np.ones(n)
-    op = _factorize_nudged(A, M, 0.0, stats)
+    if banded:
+        op = BandedCholesky(A, M, 0.0)
+        stats.factorizations += 1
+    else:
+        op = _factorize_nudged(A, M, 0.0, stats)
     for restart in range(1 + _MAX_RESTARTS):
         if restart:
             rng = np.random.default_rng(
@@ -269,15 +304,19 @@ def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
                 raise
             continue
         stats.add(rq_stats)
-        rho = _gap_estimate(power_rqs, pair.lam)
         try:
-            verify_op = _factorize_nudged(A, M, pair.lam - 0.5 * rho, stats)
+            if banded:
+                stats.factorizations += 1
+                BandedCholesky(A, M, pair.lam * (1.0 - _CERTIFY_MARGIN))
+                return pair, stats
+            rho = _gap_estimate(power_rqs, pair.lam)
+            if _factorize_nudged(A, M, pair.lam - 0.5 * rho, stats).negative_pivots == 0:
+                return pair, stats
+        except NotPositiveDefiniteError:
+            continue
         except SingularShiftError:
             if restart == _MAX_RESTARTS:
                 raise
-            continue
-        if verify_op.negative_pivots == 0:
-            return pair, stats
     raise NoConvergenceError(
         "smallest-eigenpair safeguard kept failing the dominance check"
     )

@@ -37,6 +37,23 @@ scipy 1.17.1:
 ``tests/test_sparse_linalg.py`` holds the public ``splu`` and ``@`` as
 oracles for both: the same accept/reject decision, pivot ratio, fill
 and solution bytes, and bitwise equal products.
+
+Where A - sigma*M is symmetric positive definite, as it is at shift 0
+and below the smallest eigenvalue, ``BandedCholesky`` factors it with
+LAPACK's banded Cholesky, through scipy's public wrappers
+``scipy.linalg.lapack.dpbtrf`` and ``dpbtrs``.  The interior DOFs of a
+mesh are numbered row by row on a k x k grid, so the half-bandwidth is
+k + 1 and the (k + 2) x n band stores about k^3 values: 17 MB at
+h = 1/128 (m = 7), 134 MB at m = 8 and about 1 GB at m = 9, where the
+fill of nested dissection is far smaller.  ``eigensolver`` therefore
+uses it only up to a cutoff in n.  The band is read off the pattern
+(the largest |i - j| of a stored entry), and the gather from CSR values
+to LAPACK's lower band storage is built once per pattern and cached
+beside the orderings, under the same lock and by the same key.  A
+factorization that meets a non-positive leading minor raises
+``NotPositiveDefiniteError``; one that succeeds shows that no
+eigenvalue of (A, M) lies at or below sigma (Sylvester's law of
+inertia), whatever the shift, because Cholesky exchanges no rows.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ import threading
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
@@ -59,6 +77,10 @@ _GSTRF_OPTIONS = {"DiagPivotThresh": None, "ColPerm": "NATURAL", "PanelSize": No
 
 class SingularShiftError(RuntimeError):
     """(A - sigma*M) is singular to working tolerance at this shift."""
+
+
+class NotPositiveDefiniteError(RuntimeError):
+    """(A - sigma*M) has a non-positive leading minor: an eigenvalue lies at or below sigma."""
 
 
 def nested_dissection(k: int) -> np.ndarray:
@@ -121,33 +143,63 @@ class _Ordering:
         self.source = (indptr, indices)
 
 
+class _Band:
+    """LAPACK lower band storage of one symmetric CSR pattern.
+
+    ``width`` is the half-bandwidth kd.  Values ``v`` on the CSR pattern
+    become the band of S, ``ab[i - j, j] = S[i, j]`` for j <= i <= j + kd,
+    as ``ab.T.flat[target] = v[gather]`` on an (n, kd + 1) array of zeros;
+    ``ab`` is then that array's Fortran-ordered transpose.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        n = indptr.size - 1
+        offsets = np.repeat(np.arange(n), np.diff(indptr)) - indices
+        self.gather = np.flatnonzero(offsets >= 0)
+        self.width = int(offsets[self.gather].max(initial=0))
+        self.target = indices[self.gather] * (self.width + 1) + offsets[self.gather]
+        self.source = (indptr, indices)
+
+
 _orderings: dict[tuple[int, int], _Ordering] = {}
+_bands: dict[tuple[int, int], _Band] = {}
 _orderings_lock = threading.Lock()
 
 
-def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
-    """Ordering of a canonical CSR pattern shared by A and M, built once.
+def _cached(cache: dict, build, indptr: np.ndarray, indices: np.ndarray):
+    """``build(indptr, indices)`` of a canonical CSR pattern, made once per pattern.
 
     Patterns are recognised by the identity of their index arrays, so the
-    matrices of one mesh, which hold the mesh's pattern arrays, find the
-    ordering its first factorization built.  The oldest of more than
-    ``_ORDERINGS_KEPT`` orderings is dropped.
+    matrices of one mesh, which hold the mesh's pattern arrays, find what
+    its first factorization built.  The oldest of more than
+    ``_ORDERINGS_KEPT`` entries is dropped.
     """
     key = (id(indptr), id(indices))
     with _orderings_lock:
-        ordering = _orderings.get(key)
-        if ordering is None:
-            n = indptr.size - 1
-            k = math.isqrt(n)
-            perm = nested_dissection(k) if k * k == n else np.arange(n)
-            ordering = _orderings[key] = _Ordering(indptr, indices, perm)
-            if len(_orderings) > _ORDERINGS_KEPT:
-                del _orderings[next(iter(_orderings))]
-        return ordering
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = build(indptr, indices)
+            if len(cache) > _ORDERINGS_KEPT:
+                del cache[next(iter(cache))]
+        return entry
+
+
+def _nested_dissection_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
+    n = indptr.size - 1
+    k = math.isqrt(n)
+    perm = nested_dissection(k) if k * k == n else np.arange(n)
+    return _Ordering(indptr, indices, perm)
+
+
+def _cached_ordering(indptr: np.ndarray, indices: np.ndarray) -> _Ordering:
+    """Ordering of a canonical CSR pattern shared by A and M, built once."""
+    return _cached(_orderings, _nested_dissection_ordering, indptr, indices)
 
 
 def _on_one_pattern(A: sp.spmatrix, M: sp.spmatrix):
     """A and M as CSR matrices; ValueError unless they share one canonical pattern."""
+    if A.shape != M.shape or A.shape[0] != A.shape[1]:
+        raise ValueError("A and M must be square matrices of equal size")
     A, M = A.tocsr(), M.tocsr()
     if not (A.has_canonical_format and M.has_canonical_format
             and all(a is b or np.array_equal(a, b)
@@ -175,11 +227,9 @@ class FactorizedOperator:
     """
 
     def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float):
-        if A.shape != M.shape or A.shape[0] != A.shape[1]:
-            raise ValueError("A and M must be square matrices of equal size")
+        A, M = _on_one_pattern(A, M)
         self.sigma = float(sigma)
         self.n = A.shape[0]
-        A, M = _on_one_pattern(A, M)
         ordering = self.ordering = _cached_ordering(A.indptr, A.indices)
         values = (A.data - self.sigma * M.data)[ordering.gather]
         try:
@@ -237,6 +287,34 @@ class FactorizedOperator:
 def factorize_shifted(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> FactorizedOperator:
     """Factorize A - sigma*M; raises SingularShiftError near eigenvalues."""
     return FactorizedOperator(A, M, sigma)
+
+
+class BandedCholesky:
+    """Banded Cholesky factorization of A - sigma*M, A and M on one CSR pattern.
+
+    Raises NotPositiveDefiniteError unless A - sigma*M is positive
+    definite, that is unless sigma lies below every eigenvalue of (A, M);
+    a pair on two patterns raises ValueError.
+    """
+
+    def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float):
+        A, M = _on_one_pattern(A, M)
+        self.n = A.shape[0]
+        band = _cached(_bands, _Band, A.indptr, A.indices)
+        ab = np.zeros((self.n, band.width + 1))
+        ab.ravel()[band.target] = (A.data - float(sigma) * M.data)[band.gather]
+        self._factor, info = dpbtrf(ab.T, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefiniteError(
+                f"shift {sigma:.17g} is not below the spectrum "
+                f"(leading minor {info} is not positive)"
+            )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ValueError(f"right-hand side must have length {self.n}")
+        return dpbtrs(self._factor, b, lower=1)[0]
 
 
 def matvec(S, x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,13 @@ from mlqmc_eig import (
 )
 from mlqmc_eig import eigensolver, sparse_linalg
 from mlqmc_eig.mesh_fem import prolongation
-from mlqmc_eig.sparse_linalg import matvec, nested_dissection, shifted_operator
+from mlqmc_eig.sparse_linalg import (
+    BandedCholesky,
+    NotPositiveDefiniteError,
+    matvec,
+    nested_dissection,
+    shifted_operator,
+)
 
 
 def random_spd_pair(rng, n=20):
@@ -310,6 +316,118 @@ class TestInertia:
         counts = [factorize_shifted(A, M, sigma).negative_pivots
                   for sigma in (0.5, 1.5, 2.5, 3.5, 4.5)]
         assert counts == [0, 1, 2, 3, 4]
+
+
+@pytest.fixture(scope="module")
+def dense_spectra(prob1, prob2):
+    """(A, M, lambda_1, lambda_2) per problem and mesh, the eigenvalues dense."""
+    out = {}
+    for name, problem in (("p1", prob1), ("p2", prob2)):
+        for m in range(3, 6):
+            mesh = build_uniform_mesh(m)
+            A = stiffness_interior(mesh, problem, np.random.default_rng(m).random(16) - 0.5)
+            M = mass_interior(mesh, problem)
+            lams = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                                     subset_by_index=[0, 1])
+            out[name, m] = A, M, lams[0], lams[1]
+    return out
+
+
+class TestBandedCholesky:
+    """``BandedCholesky`` against dense ``scipy.linalg`` on the mesh pairs."""
+
+    def test_band_by_hand(self):
+        # tridiagonal 3 x 3: half-bandwidth 1, AB[0] the diagonal, AB[1] the
+        # subdiagonal with LAPACK's unused last entry
+        A = sp.diags([[-1.0, -2.0], [4.0, 5.0, 6.0], [-1.0, -2.0]], [-1, 0, 1]).tocsr()
+        band = sparse_linalg._Band(A.indptr, A.indices)
+        ab = np.zeros((3, band.width + 1))
+        ab.ravel()[band.target] = A.data[band.gather]
+        assert band.width == 1
+        assert ab.T.tolist() == [[4.0, 5.0, 6.0], [-1.0, -2.0, 0.0]]
+
+    @pytest.mark.parametrize("m", range(3, 6))
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_half_bandwidth_of_the_mesh_pattern(self, dense_spectra, name, m):
+        A = dense_spectra[name, m][0]
+        k = 2 ** m - 1
+        assert sparse_linalg._Band(A.indptr, A.indices).width == k + 1
+
+    @pytest.mark.parametrize("m", range(3, 6))
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_solves_match_dense(self, dense_spectra, name, m, rng):
+        A, M, lam1, _ = dense_spectra[name, m]
+        b = rng.standard_normal(A.shape[0])
+        for sigma in (0.0, lam1 / 2):
+            x = BandedCholesky(A, M, sigma).solve(b)
+            oracle = scipy.linalg.solve((A - sigma * M).toarray(), b, assume_a="pos")
+            assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("m", range(3, 6))
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_raises_exactly_from_the_smallest_eigenvalue(self, dense_spectra, name, m):
+        A, M, lam1, lam2 = dense_spectra[name, m]
+        for sigma in (0.0, lam1 / 2, lam1 * (1 - 1e-6)):
+            BandedCholesky(A, M, sigma)
+        for sigma in (lam1 * (1 + 1e-6), (lam1 + lam2) / 2):
+            with pytest.raises(NotPositiveDefiniteError, match="not below the spectrum"):
+                BandedCholesky(A, M, sigma)
+
+    def test_pair_on_different_patterns(self, rng):
+        A = sp.diags(rng.random(5) + 4.0).tocsr()
+        M = sp.diags([np.ones(4), 4.0 * np.ones(5), np.ones(4)], [-1, 0, 1]).tocsr()
+        with pytest.raises(ValueError, match="pattern"):
+            BandedCholesky(A, M, 0.3)
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Sizes of the patterns whose band gather is built, from an empty cache."""
+        built = []
+
+        class Counted(sparse_linalg._Band):
+            def __init__(self, indptr, indices):
+                built.append(indptr.size - 1)
+                super().__init__(indptr, indices)
+        monkeypatch.setattr(sparse_linalg, "_Band", Counted)
+        monkeypatch.setattr(sparse_linalg, "_bands", {})
+        return built
+
+    def test_band_built_once_per_mesh(self, prob1, rng, built):
+        for m in (3, 5, 3, 5):
+            mesh = build_uniform_mesh(m)
+            A = stiffness_interior(mesh, prob1, rng.random(8) - 0.5)
+            BandedCholesky(A, mass_interior(mesh, prob1), 1.0)
+        assert sorted(built) == [build_uniform_mesh(m).n_interior for m in (3, 5)]
+
+    def test_threads_share_one_band(self, prob1, built):
+        # a pattern no factorization has seen yet, factored from several
+        # threads at once: the band gather is built once, and every thread
+        # solves as a lone caller does
+        mesh = build_uniform_mesh(4)
+        A = stiffness_interior(mesh, prob1, np.zeros(8)).copy()
+        M = mass_interior(mesh, prob1)
+        M = sp.csr_matrix((M.data, A.indices, A.indptr), shape=M.shape)
+        b = np.ones(A.shape[0])
+        results = [None] * 4
+
+        def work(t):
+            results[t] = [BandedCholesky(A, M, 0.1 * i).solve(b) for i in range(20)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [A.shape[0]]
+        expected = [BandedCholesky(A, M, 0.1 * i).solve(b) for i in range(20)]
+        for solutions in results:
+            assert solutions is not None
+            assert all(np.array_equal(x, e) for x, e in zip(solutions, expected, strict=True))
 
 
 class TestMatvec:
