@@ -12,6 +12,7 @@ estimators layer telescopes levels and averages over random shifts.
 
 from .problems import (
     CoefficientSeries,
+    SeparableTerms,
     make_problem,
     problem1,
     problem2,

@@ -289,12 +289,15 @@ def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
                 np.random.SeedSequence(entropy=0x5EED, spawn_key=(restart,))
             )
             v = rng.standard_normal(n)
+        # RQ starts from the last Rayleigh quotient and _gap_estimate reads
+        # the last three, so only those are computed
         power_rqs = []
-        for _ in range(_POWER_STEPS):
+        for step in range(_POWER_STEPS):
             v = op.solve(matvec(M, v))
             stats.linear_solves += 1
             v = v / m_norm(v, M)
-            power_rqs.append(rayleigh_quotient(A, M, v))
+            if step >= _POWER_STEPS - 3:
+                power_rqs.append(rayleigh_quotient(A, M, v))
         try:
             pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1])
         except NoConvergenceError as exc:

@@ -28,9 +28,10 @@ truncation) at O(s n) sines, and is one mat-vec per sample, so the
 per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
 tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
 cached, like the mass matrix.  Tables larger than
-``_TABLE_MAX_FLOATS`` are not kept; each field is then evaluated term
-by term on the grids on every call (``problems.series_values``), which
-skips the zero entries of y.
+``_TABLE_MAX_FLOATS`` are not built; each field is then evaluated
+separably, from the rank-one 1-D factors of its terms
+(``SeparableTerms.rank_one``), as one batched matrix product over the
+six node grids.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
 ``prolongation``, built once from the interpolation stencil on the
@@ -45,7 +46,7 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .problems import CoefficientSeries, series_values
+from .problems import CoefficientSeries
 
 # row q: quadrature node q in barycentric coordinates, so the basis values there
 _PHI = np.array([
@@ -68,8 +69,14 @@ _NEIGHBOURS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                       [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
 
-# coefficient tables are kept only below this size (floats)
-_TABLE_MAX_FLOATS = 2 ** 25
+# coefficient tables are built only up to this size (floats; 16 MB, so
+# up to h = 1/64 at s = 64).  Above it a field is one GEMM of the 1-D
+# factors of its terms, which is faster at every size: per P1 field at
+# s = 64, 0.49 ms against the table's 2.37 ms at h = 1/128 and 0.12 ms
+# against 0.61 ms at h = 1/64 (one BLAS thread, shared 2-core x86-64 VM).
+# Tables stay up to the bound because the recorded outputs on those
+# meshes are bitwise those of the table mat-vec.
+_TABLE_MAX_FLOATS = 2 ** 21
 
 
 class CoefficientBoundError(ValueError):
@@ -216,7 +223,8 @@ def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple | None:
     The values are at the quadrature nodes, a first, then b when the
     problem has one; each of the s table rows is filled in place by one
     call of the term on the node grids, so the field at y is one
-    mat-vec.  None when the tables would exceed ``_TABLE_MAX_FLOATS``.
+    mat-vec.  None when the tables would exceed ``_TABLE_MAX_FLOATS``;
+    ``_factors`` serves those sizes.
     """
     n_quad = 3 * mesh.n_elements
     if s * n_quad > _TABLE_MAX_FLOATS:
@@ -231,6 +239,36 @@ def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple | None:
     return tuple(tables)
 
 
+@lru_cache(maxsize=32)
+def _factors(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple:
+    """One (base values, index, weight, G, F^T) per field of ``problem``.
+
+    The rank-one factors of terms 1..s (``SeparableTerms.rank_one``) on
+    the six node grids: G (6, n, r) over x2 and F^T (6, r, n) over x1,
+    so the field at y is base + G diag(weight * y[index]) F^T on each
+    grid.
+    """
+    families = problem.separable
+    if families is None:
+        raise ValueError(
+            f"{problem.name}: coefficient tables above _TABLE_MAX_FLOATS need "
+            "term families stated as SeparableTerms"
+        )
+    geo = _geometry(mesh)
+    factors = []
+    for (base, _), family in zip(problem.fields, families):
+        index, weight, F, G = family.rank_one(s, geo.quad_x1, geo.quad_x2)
+        factors.append((geo.evaluate(base), index, weight, G,
+                        np.ascontiguousarray(F.swapaxes(1, 2))))
+    return tuple(factors)
+
+
+def _separable_values(geo: _Geometry, base_q, index, weight, G, FT,
+                      y: np.ndarray) -> np.ndarray:
+    """base + sum_j y_j term_j at the quadrature nodes, from ``_factors``."""
+    return base_q + geo.evaluate(lambda _: np.matmul(G * (weight * y[index]), FT))
+
+
 def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
     """Stiffness matrix on the interior DOFs (the eigenproblem operator).
 
@@ -241,8 +279,8 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
     assembled once per (mesh, problem) from a0 and b0 alone, cached, and
     returned read-only, the same object on every call.  It is bitwise
     the matrix the coefficient tables would give, since a0 + 0 * a_j is
-    a0 exactly.  Above the table-size bound each field is evaluated term
-    by term on the node grids, as ``CoefficientSeries.a_values`` does.
+    a0 exactly.  Above the table-size bound each field is evaluated
+    separably (``_factors``), within roundoff of the table mat-vec.
     """
     y = np.asarray(y, dtype=float)
     if not y.any():
@@ -250,8 +288,8 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
     tables = _tables(mesh, problem, y.size)
     if tables is None:
         geo = _geometry(mesh)
-        fields = [geo.evaluate(partial(series_values, base, term, y=y))
-                  for base, term in problem.fields]
+        fields = [_separable_values(geo, *factors, y)
+                  for factors in _factors(mesh, problem, y.size)]
     else:
         fields = [base_q + y @ table for base_q, table in tables]
     return _stiffness(mesh, problem, *fields)

@@ -7,14 +7,20 @@ A coefficient series describes
 with y_j in [-1/2, 1/2], plus a fixed weight c(x) for the right-hand
 bilinear form.  Evaluation is vectorised over points: every callable
 takes x as one pair ``(x1, x2)`` of coordinate arrays that broadcast
-against each other and returns an array of their broadcast shape.  On a
-tensor grid (x1 a row, x2 a column) every bundled term a_j = f(x1) g(x2)
-thus costs O(n) sines for n^2 points; the assembly in ``mesh_fem``
-evaluates each term once per table this way.
+against each other and returns an array of their broadcast shape.
+
+Every bundled term family is stated once, as 1-D factors
+(``SeparableTerms``): term j is weight * (f(x1) * g(x2)) on a region,
+everywhere or inside or outside the island set I x I.  Called as
+``term(j, x)`` it is evaluated in that order, so on a tensor grid (x1 a
+row, x2 a column) it costs O(n) sines for n^2 points; ``rank_one``
+gives the same terms as sums of rank-one products of 1-D factors, so
+``mesh_fem`` can evaluate a whole field as one small matrix product.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,7 +67,8 @@ class CoefficientSeries:
     both None when the problem has no reaction term, and a series with
     only one of them is refused.  ``a_min`` is a uniform lower bound on
     a(x, y) over all x and all y in the parameter box, and also a lower
-    bound on c.
+    bound on c.  The bundled problems state their term families as
+    ``SeparableTerms`` (see ``separable``).
     """
 
     name: str
@@ -85,6 +92,17 @@ class CoefficientSeries:
         """(base, term family) of a, then of b when the problem has one."""
         return ((self.a0, self.a_term), (self.b0, self.b_term))[:1 + self.has_b]
 
+    @property
+    def separable(self) -> tuple | None:
+        """The ``SeparableTerms`` of each term family of ``fields``.
+
+        None when a family is not one.  A term wrapped with
+        ``functools.wraps`` (say, to count its calls) is looked through,
+        so such a wrapper keeps the separable form.
+        """
+        terms = tuple(inspect.unwrap(term) for _, term in self.fields)
+        return terms if all(isinstance(t, SeparableTerms) for t in terms) else None
+
     def a_values(self, x: Point, y: np.ndarray) -> np.ndarray:
         """Truncated a(x, y) with truncation dimension len(y)."""
         return series_values(self.a0, self.a_term, x, y)
@@ -106,6 +124,58 @@ def series_values(base: Coefficient, term: TermFamily, x: Point,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class SeparableTerms:
+    """A term family stated by its 1-D factors; called, a ``TermFamily``.
+
+    ``parts(j)`` is (weight, region, f, g) for term j >= 1: the term is
+    weight * (f(x1) * g(x2)), evaluated in that order, on ``region``
+    and zero off it.  The region is None (the whole square), "inside"
+    or "outside" the island set I x I.
+    """
+
+    parts: Callable[[int], tuple]
+
+    def __call__(self, j: int, x: Point) -> np.ndarray:
+        weight, region, f, g = self.parts(j)
+        x1, x2 = _coords(x)
+        vals = weight * (f(x1) * g(x2))
+        if region is None:
+            return vals
+        inside = island_mask(x)
+        return np.where(inside if region == "inside" else ~inside, vals, 0.0)
+
+    def rank_one(self, s: int, x1: np.ndarray, x2: np.ndarray) -> tuple:
+        """Terms 1..s as sums of rank-one products of 1-D factors.
+
+        Returns ``(index, weight, F, G)`` with r columns: column k of F
+        (shape (..., n1, r)) is a factor at the points x1 (..., n1), of
+        G one at x2 (..., n2), and on the grid (x1 a row, x2 a column)
+        term j is the sum over the k with index[k] = j - 1 of
+        weight[k] * G[..., :, k, None] * F[..., None, :, k].  A term on
+        the whole square or inside I x I is one product, f g or
+        (f 1_I)(g 1_I); a term outside is two with disjoint supports,
+        (f 1_notI) g + (f 1_I)(g 1_notI).
+        """
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        in1, in2 = _in_intervals(x1), _in_intervals(x2)
+        columns = []
+        for j in range(1, s + 1):
+            weight, region, f, g = self.parts(j)
+            fj, gj = f(x1), g(x2)
+            if region is None:
+                pairs = [(fj, gj)]
+            elif region == "inside":
+                pairs = [(np.where(in1, fj, 0.0), np.where(in2, gj, 0.0))]
+            else:
+                pairs = [(np.where(in1, 0.0, fj), gj),
+                         (np.where(in1, fj, 0.0), np.where(in2, 0.0, gj))]
+            columns += [(j - 1, weight, fk, gk) for fk, gk in pairs]
+        index, weights, fs, gs = zip(*columns)
+        return (np.array(index, dtype=np.intp), np.array(weights, dtype=float),
+                np.stack(fs, axis=-1), np.stack(gs, axis=-1))
+
+
 def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
     """Pure diffusion on the unit square with smooth oscillatory modes.
 
@@ -123,11 +193,10 @@ def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
     def a0(x):
         return np.full(_shape(x), a0_val)
 
-    def a_term(j, x):
-        x1, x2 = _coords(x)
-        return j ** (-p_tilde) * np.sin(j * np.pi * x1) * np.sin(
-            (j + 1) * np.pi * x2
-        )
+    def parts(j):
+        return (1.0, None,
+                lambda x1: j ** (-p_tilde) * np.sin(j * np.pi * x1),
+                lambda x2: np.sin((j + 1) * np.pi * x2))
 
     def c(x):
         return np.ones(_shape(x))
@@ -135,7 +204,7 @@ def problem1(p_tilde: float = 2.0) -> CoefficientSeries:
     return CoefficientSeries(
         name=f"problem1(p={p_tilde:g})",
         a0=a0,
-        a_term=a_term,
+        a_term=SeparableTerms(parts),
         c=c,
         a_min=a_min,
     )
@@ -162,15 +231,6 @@ def island_mask(x: Point) -> np.ndarray:
     """
     x1, x2 = _coords(x)
     return _in_intervals(x1) & _in_intervals(x2)
-
-
-def _island_mode(k: int, q: float, x: Point) -> np.ndarray:
-    x1, x2 = _coords(x)
-    return (
-        k ** (-q)
-        * np.sin(8 * k * np.pi * x1)
-        * np.sin(8 * (k + 1) * np.pi * x2)
-    )
 
 
 def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
@@ -215,13 +275,16 @@ def problem2(p_a: float = 2.0, p_a_out: float = 2.0,
         return f
 
     def term(sigma_in, p_in, sigma_out, p_out):
-        def f(j, x):
+        def parts(j):
+            # odd terms oscillate on the islands, even ones off them
             if j % 2 == 1:
-                vals = sigma_in * _island_mode((j + 1) // 2, p_in, x)
-                return np.where(island_mask(x), vals, 0.0)
-            vals = sigma_out * _island_mode(j // 2, p_out, x)
-            return np.where(island_mask(x), 0.0, vals)
-        return f
+                sigma, region, k, q = sigma_in, "inside", (j + 1) // 2, p_in
+            else:
+                sigma, region, k, q = sigma_out, "outside", j // 2, p_out
+            return (sigma, region,
+                    lambda x1: k ** (-q) * np.sin(8 * k * np.pi * x1),
+                    lambda x2: np.sin(8 * (k + 1) * np.pi * x2))
+        return SeparableTerms(parts)
 
     def c(x):
         return np.ones(_shape(x))

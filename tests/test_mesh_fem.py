@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -236,6 +238,26 @@ def far_from_boundary(mesh):
     return mesh.interior_index[~near]
 
 
+def fields_and_stiffness(monkeypatch, mesh, problem, y, table_max):
+    """The fields handed to ``_stiffness`` and the stiffness matrix at y,
+    with ``_TABLE_MAX_FLOATS`` set to ``table_max``."""
+    stiffness, seen = mesh_fem._stiffness, []
+
+    def spy(mesh, problem, *fields):
+        seen.append(fields)
+        return stiffness(mesh, problem, *fields)
+
+    mesh_fem._tables.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", table_max)
+            patch.setattr(mesh_fem, "_stiffness", spy)
+            A = stiffness_interior(mesh, problem, y)
+    finally:
+        mesh_fem._tables.cache_clear()
+    return seen.pop(), A
+
+
 class TestMesh:
     def test_counts_m1(self):
         mesh = build_uniform_mesh(1)
@@ -426,40 +448,23 @@ class TestAssembly:
                                                               cell_scalars, quad))
 
     def test_uncached_coefficients_match_tables(self, prob1, prob2, rng, monkeypatch):
-        # above _TABLE_MAX_FLOATS the coefficient is evaluated term by term
-        # on the node grids: within roundoff of the table mat-vec, and
-        # bitwise the point-wise a_values and b_values
+        # above _TABLE_MAX_FLOATS the coefficient is evaluated separably on
+        # the node grids: within roundoff of the table mat-vec and of the
+        # point-wise a_values and b_values
         mesh = build_uniform_mesh(4)
         pts = pointwise_quad_points(mesh).reshape(-1, 2)
         x = (pts[:, 0], pts[:, 1])
-        stiffness, assembled = mesh_fem._stiffness, []
-
-        def spy(mesh, problem, *fields):
-            assembled.append(fields)
-            return stiffness(mesh, problem, *fields)
-
         for problem in (prob1, prob2):
             y = rng.random(16) - 0.5
             cached = stiffness_interior(mesh, problem, y).toarray()
-            monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 0)
-            monkeypatch.setattr(mesh_fem, "_stiffness", spy)
-            mesh_fem._tables.cache_clear()
-            try:
-                assert mesh_fem._tables(mesh, problem, y.size) is None
-                uncached = stiffness_interior(mesh, problem, y)
-                a_quad, b_quad = (*assembled.pop(), None)[:2]
-            finally:
-                monkeypatch.undo()
-                mesh_fem._tables.cache_clear()
+            fields, uncached = fields_and_stiffness(monkeypatch, mesh, problem, y, 0)
             assert np.abs(uncached.toarray() - cached).max() <= 1e-13 * np.abs(cached).max()
-            a_ref = problem.a_values(x, y)
-            b_ref = problem.b_values(x, y) if problem.has_b else None
-            assert np.array_equal(bits(a_quad), bits(a_ref))
-            assert (b_quad is None) == (b_ref is None)
-            if b_ref is not None:
-                assert np.array_equal(bits(b_quad), bits(b_ref))
-            assert np.array_equal(bits(uncached.data),
-                                  bits(pointwise_stiffness(mesh, a_ref, b_ref)))
+            refs = [problem.a_values(x, y)]
+            if problem.has_b:
+                refs.append(problem.b_values(x, y))
+            assert len(fields) == len(refs)
+            for field, ref in zip(fields, refs):
+                assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_signals_nonpositive_a(self):
         bad = CoefficientSeries(
@@ -592,6 +597,73 @@ class TestGridCoefficients:
         assert np.array_equal(bits(first.data), expected)
         for s in (0, 8, 64):
             assert stiffness_interior(mesh, problem, np.zeros(s)) is first
+
+
+class TestSeparableFields:
+    """Above _TABLE_MAX_FLOATS a field is base + G diag(y) F^T per node grid."""
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
+                             ids=["p1", "p1-slow-decay", "p2"])
+    def test_matches_the_tables(self, problem, m, monkeypatch):
+        mesh = build_uniform_mesh(m)
+        rng = np.random.default_rng(m)
+        y = rng.random(64) - 0.5
+        ys = [y]
+        if problem.has_b:
+            # even terms only: the exterior terms, two rank-one parts each
+            exterior = y.copy()
+            exterior[0::2] = 0.0
+            ys.append(exterior)
+        for y in ys:
+            tabled, A_tab = fields_and_stiffness(monkeypatch, mesh, problem, y, 2 ** 30)
+            separable, A_sep = fields_and_stiffness(monkeypatch, mesh, problem, y, 0)
+            assert len(separable) == len(tabled) == 1 + problem.has_b
+            for sep, tab in zip(separable, tabled):
+                assert np.abs(sep - tab).max() <= 1e-14 * np.abs(tab).max()
+            assert A_sep.indices is A_tab.indices
+            assert np.abs(A_sep.data - A_tab.data).max() <= 1e-13 * np.abs(A_tab.data).max()
+
+    def test_tables_up_to_m6_at_s64(self, prob1, prob2):
+        # the outputs recorded on meshes up to h = 1/64 come from the tables
+        for problem in (prob1, prob2):
+            assert mesh_fem._tables(build_uniform_mesh(6), problem, 64) is not None
+            assert mesh_fem._tables(build_uniform_mesh(7), problem, 64) is None
+
+    def test_wrapped_terms_keep_both_paths(self, prob1, prob2, monkeypatch):
+        # wrapping the terms, as a call counter does, leaves the stiffness
+        # unchanged: the tables call the wrappers, the separable path finds
+        # the factors behind them
+        calls = []
+
+        def wrap(term):
+            if term is None:
+                return None
+
+            @functools.wraps(term)
+            def counted(j, x):
+                calls.append(j)
+                return term(j, x)
+            return counted
+
+        mesh, y = build_uniform_mesh(4), np.random.default_rng(4).random(16) - 0.5
+        for problem in (prob1, prob2):
+            wrapped = dataclasses.replace(problem, a_term=wrap(problem.a_term),
+                                          b_term=wrap(problem.b_term))
+            for table_max, n_calls in ((2 ** 30, 16 * len(problem.fields)), (0, 0)):
+                calls.clear()
+                _, A = fields_and_stiffness(monkeypatch, mesh, problem, y, table_max)
+                _, A_wrapped = fields_and_stiffness(monkeypatch, mesh, wrapped, y,
+                                                    table_max)
+                assert np.array_equal(bits(A_wrapped.data), bits(A.data))
+                assert len(calls) == n_calls
+
+    def test_refuses_terms_without_factors(self, monkeypatch):
+        series = constant_series(b0=1.0)
+        assert series.separable is None
+        with pytest.raises(ValueError, match="SeparableTerms"):
+            fields_and_stiffness(monkeypatch, build_uniform_mesh(3), series,
+                                 np.full(4, 0.1), 0)
 
 
 def stencil_prolongate(u_coarse, coarse, fine):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -174,6 +175,30 @@ def test_terms_keep_their_operation_order(prob1, prob2, rng):
                               np.where(support, sigma_a * mode, 0.0))
         assert np.array_equal(prob2.b_term(j, (x1, x2)),
                               np.where(support, sigma_b * mode, 0.0))
+
+
+def test_rank_one_parts_rebuild_every_term_bitwise(prob1, prob2, rng):
+    # an outside term's two products have disjoint supports, so summing the
+    # products of each term reproduces the term's own arithmetic
+    x1, x2 = rng.random(40), rng.random(30)
+    x1[:4] = x2[:4] = (0.125, 0.375, 0.625, 0.875)   # island edges
+    grid = (x1[None, :], x2[:, None])
+    for family in (prob1.a_term, prob2.a_term, prob2.b_term):
+        index, weight, F, G = family.rank_one(8, x1, x2)
+        assert F.shape == (40, index.size) and G.shape == (30, index.size)
+        for j in range(1, 9):
+            parts = [weight[k] * (F[:, k] * G[:, k, None])
+                     for k in np.flatnonzero(index == j - 1)]
+            assert len(parts) == (2 if family is not prob1.a_term and j % 2 == 0 else 1)
+            assert np.array_equal(sum(parts[1:], parts[0]), family(j, grid))
+
+
+def test_separable_looks_through_wrappers(prob2):
+    wrapped = dataclasses.replace(prob2, a_term=functools.wraps(prob2.a_term)(
+        lambda j, x: prob2.a_term(j, x)))
+    assert wrapped.separable == (prob2.a_term, prob2.b_term)
+    plain = dataclasses.replace(prob2, a_term=lambda j, x: prob2.a_term(j, x))
+    assert plain.separable is None
 
 
 def test_make_problem_dispatch():
