@@ -354,8 +354,9 @@ class _VCycle:
 
     Level k holds the operator A_k, the damped inverse diagonal
     omega / diag(A_k), the prolongation P_k from the next coarser mesh
-    and the restriction R_k = P_k^T, stored as CSR (its mat-vec sums in
-    the same order as that of P_k.T); A_(k+1) = P_k^T A_k P_k.  A_0 is
+    and the restriction R_k = P_k.T, the CSC view on P_k's own arrays
+    (no copy; its mat-vec is the kernel of P_k.T @ r, bitwise);
+    A_(k+1) = P_k^T A_k P_k.  A_0 is
     the cached A(0) of ``stiffness_interior``, so a two-grid update at
     y = 0 and its V-cycle share one matrix; ``diagonal`` is diag(A_0).
     ``apply`` approximates A_0^-1 r with one Jacobi sweep on each side
@@ -369,7 +370,7 @@ class _VCycle:
         self.levels = []
         for m in range(mesh.level_exponent, _COARSEST_EXPONENT, -1):
             P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m))
-            self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T.tocsr()))
+            self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T))
             A = (P.T @ A @ P).tocsr()
         # dpotrs is the LAPACK call of scipy.linalg.cho_solve, bitwise
         self.coarsest, self.lower = scipy.linalg.cho_factor(A.toarray())

@@ -28,10 +28,11 @@ truncation) at O(s n) sines, and is one mat-vec per sample, so the
 per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
 tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
 cached, like the mass matrix.  Tables larger than
-``_TABLE_MAX_FLOATS`` are not built; each field is then evaluated
-separably, from the rank-one 1-D factors of its terms
-(``SeparableTerms.rank_one``), as one batched matrix product over the
-six node grids.
+``_TABLE_MAX_FLOATS`` (4 MB, so up to h = 1/32 at s = 64) are not
+built; each field is then evaluated separably, from the rank-one 1-D
+factors of its terms (``SeparableTerms.rank_one``), as one batched
+matrix product over the six node grids.  A ``CoefficientSeries``
+without ``separable`` therefore needs it from h = 1/64 on at s = 64.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
 ``prolongation``, built once from the interpolation stencil on the
@@ -69,14 +70,14 @@ _NEIGHBOURS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                       [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
 
-# coefficient tables are built only up to this size (floats; 16 MB, so
-# up to h = 1/64 at s = 64).  Above it a field is one GEMM of the 1-D
+# coefficient tables are built only up to this size (floats; 4 MB, so
+# up to h = 1/32 at s = 64).  Above it a field is one GEMM of the 1-D
 # factors of its terms, which is faster at every size: per P1 field at
-# s = 64, 0.49 ms against the table's 2.37 ms at h = 1/128 and 0.12 ms
-# against 0.61 ms at h = 1/64 (one BLAS thread, shared 2-core x86-64 VM).
-# Tables stay up to the bound because the recorded outputs on those
-# meshes are bitwise those of the table mat-vec.
-_TABLE_MAX_FLOATS = 2 ** 21
+# s = 64, 0.12 ms against the table's 0.61 ms at h = 1/64 and 0.05 ms
+# against 0.14 ms at h = 1/32 (one BLAS thread, shared 2-core x86-64 VM).
+# Tables stay up to h = 1/32 only because the bitwise-pinned outputs
+# (the Problem-2 estimate, whose finest mesh is h = 1/32) read them.
+_TABLE_MAX_FLOATS = 2 ** 19
 
 
 class CoefficientBoundError(ValueError):
@@ -132,10 +133,11 @@ class _Geometry:
 
     ``indices`` and ``indptr`` (int32) are the interior CSR pattern,
     read off the 7-point stencil of ``_NEIGHBOURS`` with no sort.
-    ``slots[k]`` is the data slot of local entry k of the 9 * n_el, in
-    element order; an entry whose row or column is a boundary node has
-    slot nnz, the extra bin that ``assemble`` drops.  Every slot sums
-    its contributions in element order.
+    ``slots[k]`` (int32) is the data slot of local entry k of the
+    9 * n_el, in element order; an entry whose row or column is a
+    boundary node has slot nnz, the extra bin that ``assemble`` drops.
+    ``assemble`` accumulates with ``np.add.at`` into zeros, so every
+    slot sums its contributions in element order.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -166,10 +168,10 @@ class _Geometry:
 
         # slot of every local entry (cell row, cell column, triangle t,
         # i, j) in the data array; entries off the pattern go to bin nnz
-        slot = np.full(valid.shape, nnz, dtype=np.intp)
-        slot[valid] = np.arange(nnz)
+        slot = np.full(valid.shape, nnz, dtype=np.int32)
+        slot[valid] = np.arange(nnz, dtype=np.int32)
         del valid
-        slots = np.empty((n, n, 2, 3, 3), dtype=np.intp)
+        slots = np.empty((n, n, 2, 3, 3), dtype=np.int32)
         for t, tri in enumerate(_VERTICES):
             for i, (ci, ri) in enumerate(tri):
                 for j, (cj, rj) in enumerate(tri):
@@ -196,13 +198,20 @@ class _Geometry:
                  quad_scalars: np.ndarray | None) -> sp.csr_matrix:
         """Sum ``cell * grad_i.grad_j + (area/3) * quad_q * phi_i phi_j``."""
         # elements alternate lower, upper per cell
-        vals = np.zeros((self.mesh.n_elements, 3, 3)) if cell_scalars is None else \
+        vals = None if cell_scalars is None else \
             (self.stencils * cell_scalars.reshape(-1, 2, 1, 1)).reshape(-1, 3, 3)
         if quad_scalars is not None:
-            w = quad_scalars.reshape(-1, 3) * (self.area / 3.0)
-            vals = vals + np.einsum("eq,qij->eij", w, _PHI_OUTER)
+            mass = np.einsum("eq,qij->eij", quad_scalars.reshape(-1, 3) * (self.area / 3.0),
+                             _PHI_OUTER)
+            # without a cell part the mass part is the values
+            if vals is None:
+                vals = mass
+            else:
+                vals += mass
         nnz = self.indices.size
-        data = np.bincount(self.slots, weights=vals.ravel(), minlength=nnz + 1)[:nnz]
+        data = np.zeros(nnz + 1)
+        np.add.at(data, self.slots, vals.ravel())
+        data = data[:nnz]
         dim = self.mesh.n_interior
         mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
         # the constructor keeps a view of indices; hold the mesh's own array,

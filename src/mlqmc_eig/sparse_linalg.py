@@ -317,19 +317,22 @@ class BandedCholesky:
         return dpbtrs(self._factor, b, lower=1)[0]
 
 
+_MATVEC_KERNELS = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+
+
 def matvec(S, x: np.ndarray) -> np.ndarray:
     """S @ x, bitwise.
 
-    A float CSR matrix times a float vector of its width goes straight to
-    ``_sparsetools.csr_matvec``, the kernel that ``S @ x`` dispatches to;
-    any other operand takes the ``@`` path.
+    A float CSR or CSC matrix times a float vector of its width goes
+    straight to ``_sparsetools.csr_matvec`` or ``csc_matvec``, the kernel
+    that ``S @ x`` dispatches to; any other operand takes the ``@`` path.
     """
-    if (getattr(S, "format", None) == "csr" and S.dtype == np.float64
+    kernel = _MATVEC_KERNELS.get(getattr(S, "format", None))
+    if (kernel is not None and S.dtype == np.float64
             and isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.shape == (S.shape[1],)):
         y = np.zeros(S.shape[0])
-        _sparsetools.csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices, S.data,
-                                x, y)
+        kernel(S.shape[0], S.shape[1], S.indptr, S.indices, S.data, x, y)
         return y
     return S @ x
 

@@ -450,13 +450,15 @@ class TestMultigridUpdate:
         B = np.column_stack([vcycle.apply(e) for e in np.eye(mesh.n_interior)])
         assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
         assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0.0
-        # each stored restriction is P^T as a CSR matrix, and the cycle is
-        # bitwise the one that forms P.T on every call
+        # each stored restriction is P.T, the CSC view on P's own arrays,
+        # and the cycle is bitwise the one that restricts with a CSR copy
         for _, _, P, R in vcycle.levels:
-            assert R.format == "csr"
+            assert R.format == "csc"
+            assert all(np.shares_memory(r, p) for r, p in
+                       [(R.data, P.data), (R.indices, P.indices), (R.indptr, P.indptr)])
             assert np.array_equal(R.toarray(), P.T.toarray())
         transposed = copy.copy(vcycle)
-        transposed.levels = [(A, d, P, P.T) for A, d, P, _ in vcycle.levels]
+        transposed.levels = [(A, d, P, P.T.tocsr()) for A, d, P, _ in vcycle.levels]
         for r in np.random.default_rng(5).standard_normal((5, mesh.n_interior)):
             assert vcycle.apply(r).tobytes() == transposed.apply(r).tobytes()
 

@@ -181,6 +181,20 @@ def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
     return np.bincount(slots, weights=vals.ravel()[keep], minlength=indices.size)
 
 
+def bincount_assembly_data(geo, cell_scalars, quad_scalars):
+    """CSR data of ``geo.assemble`` by the formula that ``np.add.at`` on
+    int32 slots replaced: int64 slots, a zero-filled buffer for the mass
+    part when there is no cell part, and ``np.bincount``."""
+    vals = np.zeros((geo.mesh.n_elements, 3, 3)) if cell_scalars is None else \
+        (geo.stencils * cell_scalars.reshape(-1, 2, 1, 1)).reshape(-1, 3, 3)
+    if quad_scalars is not None:
+        w = quad_scalars.reshape(-1, 3) * (geo.area / 3.0)
+        vals = vals + np.einsum("eq,qij->eij", w, mesh_fem._PHI_OUTER)
+    nnz = geo.indices.size
+    slots = geo.slots.astype(np.int64)
+    return np.bincount(slots, weights=vals.ravel(), minlength=nnz + 1)[:nnz]
+
+
 def pointwise_quad_points(mesh):
     """The quadrature nodes of every element, (nel, 3, 2), computed from
     the element coordinates and ``QUAD_NODES``, as the point-wise
@@ -236,6 +250,16 @@ def far_from_boundary(mesh):
     near = np.zeros(mesh.n_nodes, dtype=bool)
     near[ele[boundary_mask(mesh)[ele].any(axis=1)]] = True
     return mesh.interior_index[~near]
+
+
+@pytest.fixture
+def tables_at_every_m(monkeypatch):
+    """``_TABLE_MAX_FLOATS`` raised so that every mesh of the test builds
+    coefficient tables; the table cache is cleared before and after."""
+    mesh_fem._tables.cache_clear()
+    monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 2 ** 30)
+    yield
+    mesh_fem._tables.cache_clear()
 
 
 def fields_and_stiffness(monkeypatch, mesh, problem, y, table_max):
@@ -313,6 +337,7 @@ class TestPattern:
         assert geo.indices.dtype == geo.indptr.dtype == np.int32
         assert geo.indices.tobytes() == indices.tobytes()
         assert geo.indptr.tobytes() == indptr.tobytes()
+        assert geo.slots.dtype == np.int32
         assert geo.slots.size == keep.size == 9 * mesh.n_elements
         assert np.array_equal(geo.slots[keep], slots)
         # every entry with a boundary row or column goes to the extra bin
@@ -344,6 +369,42 @@ class TestPattern:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("m", range(3, 8))
+    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
+                             ids=["p1", "p1-slow-decay", "p2"])
+    def test_matches_the_bincount_formula_bitwise(self, problem, m, monkeypatch):
+        # np.add.at sums every slot in element order, as np.bincount did:
+        # the stiffness (cell part, plus the mass part of b for Problem 2)
+        # on either coefficient path, and the mass matrix (mass part only)
+        mesh = build_uniform_mesh(m)
+        geo = mesh_fem._geometry(mesh)
+        y = np.random.default_rng(m).random(64) - 0.5
+        (a, *b), A = fields_and_stiffness(monkeypatch, mesh, problem, y,
+                                          mesh_fem._TABLE_MAX_FLOATS)
+        cell = (geo.area / 3.0) * (a[0::3] + a[1::3] + a[2::3])
+        b = b[0] if b else None
+        assert np.array_equal(bits(A.data), bits(bincount_assembly_data(geo, cell, b)))
+        c = geo.evaluate(problem.c)
+        assert np.array_equal(bits(mass_interior(mesh, problem).data),
+                              bits(bincount_assembly_data(geo, None, c)))
+
+    def test_mass_peak_memory(self, prob1, monkeypatch):
+        # the local values, 9 * n_el floats, are the one array of that size
+        # the mass matrix needs.  On a fresh m = 8 geometry the peak is
+        # 1.72x them, under a bound of 2x; a zero-filled buffer plus the
+        # copy that adding the einsum to it makes gave 2.67x
+        mesh = mesh_fem.TriMesh(8)
+        geo = mesh_fem._Geometry(mesh)
+        monkeypatch.setattr(mesh_fem, "_geometry", lambda _: geo)
+        tracemalloc.start()
+        try:
+            mesh_fem.mass_interior.__wrapped__(mesh, prob1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        local_values = 9 * mesh.n_elements * 8
+        assert peak <= 2.0 * local_values, peak / local_values
+
     def test_stiffness_annihilates_constants(self, prob1, rng):
         # a row whose node has no boundary neighbour holds the whole
         # stencil, which sums to zero
@@ -539,7 +600,7 @@ class TestGridCoefficients:
     @pytest.mark.parametrize("m", range(3, 7))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
                              ids=["p1", "p1-slow-decay", "p2"])
-    def test_matches_pointwise_build_bitwise(self, problem, m):
+    def test_matches_pointwise_build_bitwise(self, problem, m, tables_at_every_m):
         mesh = build_uniform_mesh(m)
         rng = np.random.default_rng(m)
         for y in (rng.random(64) - 0.5, np.zeros(64), np.zeros(0), rng.random(5) - 0.5):
@@ -562,7 +623,7 @@ class TestGridCoefficients:
 
     @pytest.mark.parametrize("m", range(3, 8))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem2()], ids=["p1", "p2"])
-    def test_cell_sums_match_the_axis_sum_bitwise(self, problem, m):
+    def test_cell_sums_match_the_axis_sum_bitwise(self, problem, m, tables_at_every_m):
         # the stiffness adds the three node values of a cell left to right,
         # as numpy's sum over a length-3 axis does
         mesh = build_uniform_mesh(m)
@@ -624,11 +685,12 @@ class TestSeparableFields:
             assert A_sep.indices is A_tab.indices
             assert np.abs(A_sep.data - A_tab.data).max() <= 1e-13 * np.abs(A_tab.data).max()
 
-    def test_tables_up_to_m6_at_s64(self, prob1, prob2):
-        # the outputs recorded on meshes up to h = 1/64 come from the tables
+    def test_tables_up_to_m5_at_s64(self, prob1, prob2):
+        # the bitwise-pinned outputs, on meshes up to h = 1/32, come from
+        # the tables
         for problem in (prob1, prob2):
-            assert mesh_fem._tables(build_uniform_mesh(6), problem, 64) is not None
-            assert mesh_fem._tables(build_uniform_mesh(7), problem, 64) is None
+            assert mesh_fem._tables(build_uniform_mesh(5), problem, 64) is not None
+            assert mesh_fem._tables(build_uniform_mesh(6), problem, 64) is None
 
     def test_wrapped_terms_keep_both_paths(self, prob1, prob2, monkeypatch):
         # wrapping the terms, as a call counter does, leaves the stiffness

@@ -450,14 +450,29 @@ class TestMatvec:
         strided = rng.standard_normal(2 * S.shape[1])[::2]
         assert matvec(S, strided).tobytes() == (S @ strided).tobytes()
 
-    def test_other_formats_fall_back_to_matmul(self, rng):
-        # the CSR kernel on CSC arrays would give S^T x; S is not symmetric
+    def test_csc_is_bitwise_matmul(self, operators, rng):
+        # the restriction as the V-cycle stores it: the CSC view on P's arrays
+        P = operators["prolongation"]
+        S = P.T
+        assert S.format == "csc" and np.shares_memory(S.data, P.data)
+        x = rng.standard_normal(S.shape[1])
+        assert matvec(S, x).tobytes() == (S @ x).tobytes()
+        strided = rng.standard_normal(2 * S.shape[1])[::2]
+        assert matvec(S, strided).tobytes() == (S @ strided).tobytes()
+        # and a square unsymmetric one, where the CSR kernel would give S^T x
         S = sp.random(30, 30, density=0.2, random_state=4, format="csc") \
             + sp.identity(30, format="csc")
         x = rng.standard_normal(30)
         assert S.format == "csc"
         assert matvec(S, x).tobytes() == (S @ x).tobytes()
         assert not np.allclose(matvec(S, x), S.T @ x)
+
+    def test_other_formats_fall_back_to_matmul(self, rng):
+        x = rng.standard_normal(30)
+        S = sp.coo_matrix(sp.random(30, 30, density=0.2, random_state=4)
+                          + sp.identity(30))
+        assert S.format == "coo"
+        assert matvec(S, x).tobytes() == (S @ x).tobytes()
         D = sp.diags([rng.random(30) + 1.0, rng.random(29)], [0, 1])
         assert D.format == "dia"
         assert matvec(D, x).tobytes() == (D @ x).tobytes()
