@@ -6,17 +6,15 @@ quotient, which converges cubically near a simple eigenpair.  Cold
 starts take a few inverse-power iterations so that the iteration lands
 on the smallest eigenvalue, and each result is certified by the
 inertia of one factorization below it (Sylvester's law of inertia, as
-in spectrum slicing: Parlett 1980, Ericsson & Ruhe 1980).  Up to
-``_BANDED_MAX_DOFS`` interior DOFs (h = 1/128) both positive definite
-factorizations of a cold solve, at shift 0 for the inverse-power steps
-and at the certifying shift lambda (1 - ``_CERTIFY_MARGIN``), are
-banded Cholesky (``sparse_linalg.BandedCholesky``), and the certificate
-is that the second one succeeds: then no eigenvalue of (A, M) lies
-within a relative 1e-6 below lambda or under it, so lambda is the
-smallest.  Above the cutoff both are SuperLU factorizations, and the
-certifying shift is lambda - rho/2, rho a crude gap estimate capped at
-lambda, certified where SuperLU exchanged no rows and no pivot is
-negative.  Every RQ step factors an indefinite operator with SuperLU.
+in spectrum slicing: Parlett 1980, Ericsson & Ruhe 1980).  Both
+positive definite factorizations of a cold solve, at shift 0 for the
+inverse-power steps and at the certifying shift
+lambda (1 - ``_CERTIFY_MARGIN``), are
+``sparse_linalg.factorize_positive_definite``: banded Cholesky up to
+h = 1/128, SuperLU with diagonal pivots above.  The certificate is that
+the second one succeeds: then no eigenvalue of (A, M) lies within a
+relative 1e-6 below lambda or under it, so lambda is the smallest.
+Every RQ step factors an indefinite operator with SuperLU.
 Warm starts reuse the eigenvector of a nearby parameter sample.  The
 two-grid scheme (Xu & Zhou 2001) computes a fine-mesh eigenvalue from
 one coarse eigensolve plus one shifted solve per fine mesh: its callers
@@ -42,12 +40,11 @@ MINRES itself is ``_minres``, scipy's recurrences and stop tests from
 a zero start with no shift, no printing and in-place vector updates.
 
 The solvers reach scipy through two private entry points, verified on
-scipy 1.17.1 (see ``sparse_linalg``): every factorization but the banded
-Cholesky ones is one call of SuperLU's ``_superlu.gstrf`` inside
-``sparse_linalg.factorize_shifted``, and every sparse product on the hot
-path (right-hand sides, Rayleigh quotients, the V-cycle and the MINRES
-operator) is ``sparse_linalg.matvec``,
-which runs ``_sparsetools.csr_matvec``, the kernel of ``S @ x``.  The
+scipy 1.17.1 (see ``sparse_linalg``): every SuperLU factorization is one
+call of its ``_superlu.gstrf``, and every sparse product on the hot path
+(right-hand sides, Rayleigh quotients, the V-cycle and the MINRES
+operator) is ``sparse_linalg.matvec``, which runs
+``_sparsetools.csr_matvec``, the kernel of ``S @ x``.  The
 oracle tests in ``tests/test_sparse_linalg.py`` pin both to the public
 ``splu`` and ``@``.
 """
@@ -74,10 +71,10 @@ from .mesh_fem import (
 )
 from .problems import CoefficientSeries
 from .sparse_linalg import (
-    BandedCholesky,
     FactorizedOperator,
     NotPositiveDefiniteError,
     SingularShiftError,
+    factorize_positive_definite,
     factorize_shifted,
     m_norm,
     matvec,
@@ -94,13 +91,7 @@ _MAX_SHIFT_ATTEMPTS = 3
 _POWER_STEPS = 10
 _MAX_RESTARTS = 2
 
-# cold solves on at most this many interior DOFs (h = 1/128) factor their
-# two positive definite operators by banded Cholesky.  A whole cold solve,
-# Problem 1 at a random y, one BLAS thread, banded against SuperLU: 18 vs
-# 28 ms at h = 1/64 and 105 vs 144 ms at 1/128 (medians of three), but
-# 942 vs 798 ms at 1/256 (two runs), where the band takes 134 MB
-_BANDED_MAX_DOFS = 127 ** 2
-# the banded certificate factors at lambda (1 - _CERTIFY_MARGIN): far
+# the certificate factors at lambda (1 - _CERTIFY_MARGIN): far
 # above the RQ tolerance in relative terms, and far below the relative
 # gap to the second eigenvalue
 _CERTIFY_MARGIN = 1e-6
@@ -238,68 +229,38 @@ def rq_iteration(A, M, v0: np.ndarray, sigma0: float) -> tuple[Eigenpair, SolveS
     raise error
 
 
-def _gap_estimate(power_rqs: list[float], lam: float) -> float:
-    """Crude spectral-gap estimate from the inverse-power shift history.
-
-    Inverse iteration reduces the eigenvalue error by roughly
-    (lam1/lam2)^2 per step, so the ratio of successive shift increments
-    gives lam2.  Falls back to lam itself when the history is degenerate.
-    """
-    d1 = abs(power_rqs[-1] - power_rqs[-2])
-    d2 = abs(power_rqs[-2] - power_rqs[-3])
-    if d2 > 0.0 and d1 > 0.0:
-        ratio = np.sqrt(d1 / d2)
-        if 1e-8 < ratio < 0.999:
-            lam2 = lam / ratio
-            return min(lam2 - lam, lam)
-    return lam
-
-
 def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
     """Smallest eigenpair from a deterministic cold start.
 
     ``_POWER_STEPS`` inverse-power iterations from the all-ones vector
     bias the start towards the smallest eigenpair before handing over to
-    RQ iteration.  The converged pair is accepted only if a
-    factorization below lambda certifies by its inertia that lambda is
-    the smallest eigenvalue.  Up to ``_BANDED_MAX_DOFS`` interior DOFs
-    the shift-0 operator of the power steps is a banded Cholesky
-    factorization, and the certificate is that a banded Cholesky
-    factorization at lambda (1 - ``_CERTIFY_MARGIN``) succeeds, so no
-    eigenvalue lies below that shift.  Above the cutoff both are SuperLU
-    factorizations, and the certificate is SuperLU's at lambda - rho/2,
-    rho a crude gap estimate, with no row exchange and no negative
-    pivot.  A pair that is not certified restarts the solve from a
-    seeded random vector, with the same shift-0 factorization; the work
-    of a failed RQ iteration is counted, and every banded factorization
-    and solve counts as a factorization and a solve.
+    RQ iteration at their last Rayleigh quotient.  The converged pair is
+    accepted only if ``factorize_positive_definite`` succeeds at
+    lambda (1 - ``_CERTIFY_MARGIN``), which certifies by its inertia that
+    no eigenvalue lies below that shift, so lambda is the smallest.  The
+    shift-0 operator of the power steps is the same kind of
+    factorization.  A pair that is not certified restarts the solve from
+    a seeded random vector, with the same shift-0 factorization; the work
+    of a failed RQ iteration is counted, and every factorization and
+    solve, banded or not, counts as a factorization and a solve.
     """
     stats = SolveStats()
     n = A.shape[0]
-    banded = n <= _BANDED_MAX_DOFS
     v = np.ones(n)
-    if banded:
-        op = BandedCholesky(A, M, 0.0)
-        stats.factorizations += 1
-    else:
-        op = _factorize_nudged(A, M, 0.0, stats)
+    op = factorize_positive_definite(A, M, 0.0)
+    stats.factorizations += 1
     for restart in range(1 + _MAX_RESTARTS):
         if restart:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=0x5EED, spawn_key=(restart,))
             )
             v = rng.standard_normal(n)
-        # RQ starts from the last Rayleigh quotient and _gap_estimate reads
-        # the last three, so only those are computed
-        power_rqs = []
-        for step in range(_POWER_STEPS):
+        for _ in range(_POWER_STEPS):
             v = op.solve(matvec(M, v))
             stats.linear_solves += 1
             v = v / m_norm(v, M)
-            if step >= _POWER_STEPS - 3:
-                power_rqs.append(rayleigh_quotient(A, M, v))
         try:
-            pair, rq_stats = rq_iteration(A, M, v, power_rqs[-1])
+            pair, rq_stats = rq_iteration(A, M, v, rayleigh_quotient(A, M, v))
         except NoConvergenceError as exc:
             if exc.stats is not None:
                 stats.add(exc.stats)
@@ -307,21 +268,14 @@ def smallest_eigenpair_cold(A, M) -> tuple[Eigenpair, SolveStats]:
                 raise
             continue
         stats.add(rq_stats)
+        stats.factorizations += 1
         try:
-            if banded:
-                stats.factorizations += 1
-                BandedCholesky(A, M, pair.lam * (1.0 - _CERTIFY_MARGIN))
-                return pair, stats
-            rho = _gap_estimate(power_rqs, pair.lam)
-            if _factorize_nudged(A, M, pair.lam - 0.5 * rho, stats).negative_pivots == 0:
-                return pair, stats
+            factorize_positive_definite(A, M, pair.lam * (1.0 - _CERTIFY_MARGIN))
         except NotPositiveDefiniteError:
             continue
-        except SingularShiftError:
-            if restart == _MAX_RESTARTS:
-                raise
+        return pair, stats
     raise NoConvergenceError(
-        "smallest-eigenpair safeguard kept failing the dominance check"
+        "smallest-eigenpair safeguard kept failing the certificate"
     )
 
 

@@ -29,7 +29,9 @@ scipy 1.17.1:
 
 - ``scipy.sparse.linalg._dsolve._superlu.gstrf``, called with the
   ordering's int32 CSC arrays and exactly the options that
-  ``splu(A, permc_spec="NATURAL")`` passes it.  The pivots are read
+  ``splu(A, permc_spec="NATURAL")`` passes it, with
+  ``diag_pivot_thresh=0.0`` added for a positive definite factorization
+  above the banded cutoff.  The pivots are read
   from the raw buffers of U, so no CSC input, L or U matrix is built.
 - ``scipy.sparse._sparsetools.csr_matvec``, the kernel that ``S @ x``
   runs for a CSR matrix S, without the dispatch around it.
@@ -39,21 +41,27 @@ oracles for both: the same accept/reject decision, pivot ratio, fill
 and solution bytes, and bitwise equal products.
 
 Where A - sigma*M is symmetric positive definite, as it is at shift 0
-and below the smallest eigenvalue, ``BandedCholesky`` factors it with
-LAPACK's banded Cholesky, through scipy's public wrappers
+and below the smallest eigenvalue, ``factorize_positive_definite``
+factors it so that success itself proves the shift lies below every
+eigenvalue of (A, M) (Sylvester's law of inertia): no row is exchanged,
+so the factorization is L D L^T and every pivot of D is positive.  Up to
+``_BANDED_MAX_DOFS`` interior DOFs (h = 1/128) that is ``BandedCholesky``,
+LAPACK's banded Cholesky through scipy's public wrappers
 ``scipy.linalg.lapack.dpbtrf`` and ``dpbtrs``.  The interior DOFs of a
 mesh are numbered row by row on a k x k grid, so the half-bandwidth is
 k + 1 and the (k + 2) x n band stores about k^3 values: 17 MB at
 h = 1/128 (m = 7), 134 MB at m = 8 and about 1 GB at m = 9, where the
-fill of nested dissection is far smaller.  ``eigensolver`` therefore
-uses it only up to a cutoff in n.  The band is read off the pattern
-(the largest |i - j| of a stored entry), and the gather from CSR values
-to LAPACK's lower band storage is built once per pattern and cached
-beside the orderings, under the same lock and by the same key.  A
-factorization that meets a non-positive leading minor raises
-``NotPositiveDefiniteError``; one that succeeds shows that no
-eigenvalue of (A, M) lies at or below sigma (Sylvester's law of
-inertia), whatever the shift, because Cholesky exchanges no rows.
+fill of nested dissection is far smaller.  The band is read off the
+pattern (the largest |i - j| of a stored entry), and the gather from CSR
+values to LAPACK's lower band storage is built once per pattern and
+cached beside the orderings, under the same lock and by the same key.
+Above the cutoff it is SuperLU in the nested-dissection order with
+diagonal pivots (``diag_pivot_thresh=0.0``): SuperLU then takes every
+nonzero diagonal pivot, so it exchanges a row only at a zero one.  Its
+fill is that of partial pivoting, which exchanges rows near the
+smallest eigenvalue and so leaves the inertia unknown there.  Either
+way a pivot that is not positive raises ``NotPositiveDefiniteError``,
+and so does a SuperLU shift singular to tolerance.
 """
 
 from __future__ import annotations
@@ -73,6 +81,14 @@ _ORDERINGS_KEPT = 16
 # the options splu(A, permc_spec="NATURAL") passes to gstrf
 _GSTRF_OPTIONS = {"DiagPivotThresh": None, "ColPerm": "NATURAL", "PanelSize": None,
                   "Relax": None, "SymmetricMode": True}
+# ... and splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+_GSTRF_DIAGONAL_OPTIONS = {**_GSTRF_OPTIONS, "DiagPivotThresh": 0.0}
+# positive definite factorizations on at most this many interior DOFs
+# (h = 1/128) are banded Cholesky.  A whole cold solve, Problem 1 at a
+# random y, one BLAS thread, banded against SuperLU: 18 vs 28 ms at
+# h = 1/64 and 105 vs 144 ms at 1/128 (medians of three), but 942 vs
+# 798 ms at 1/256 (two runs), where the band takes 134 MB
+_BANDED_MAX_DOFS = 127 ** 2
 
 
 class SingularShiftError(RuntimeError):
@@ -226,6 +242,8 @@ class FactorizedOperator:
     Shareable across solves; a pair on two patterns raises ValueError.
     """
 
+    _options = _GSTRF_OPTIONS
+
     def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float):
         A, M = _on_one_pattern(A, M)
         self.sigma = float(sigma)
@@ -235,7 +253,7 @@ class FactorizedOperator:
         try:
             self._lu = _superlu.gstrf(self.n, values.size, values, ordering.indices,
                                       ordering.indptr, csc_construct_func=_raw_csc,
-                                      ilu=False, options=_GSTRF_OPTIONS)
+                                      ilu=False, options=self._options)
         except RuntimeError as exc:   # exactly singular pivot
             raise SingularShiftError(
                 f"factorization at shift {sigma:.17g} is singular: {exc}"
@@ -256,20 +274,6 @@ class FactorizedOperator:
             )
 
     @property
-    def negative_pivots(self) -> int | None:
-        """Eigenvalues of (A, M) below sigma, or None where unknown.
-
-        Without row exchanges the factorization of the symmetric A - sigma*M
-        is L D L^T with D the diagonal of U, so by Sylvester's law of
-        inertia the negative pivots count the eigenvalues below sigma.
-        SuperLU's partial pivoting may exchange rows; the count is then
-        unknown.
-        """
-        if not np.array_equal(self._lu.perm_r, np.arange(self.n)):
-            return None
-        return int(np.count_nonzero(self._pivots < 0.0))
-
-    @property
     def nnz(self) -> int:
         """Stored entries of L + U, the fill of this factorization."""
         return self._lu.nnz
@@ -287,6 +291,28 @@ class FactorizedOperator:
 def factorize_shifted(A: sp.spmatrix, M: sp.spmatrix, sigma: float) -> FactorizedOperator:
     """Factorize A - sigma*M; raises SingularShiftError near eigenvalues."""
     return FactorizedOperator(A, M, sigma)
+
+
+class _DiagonalPivots(FactorizedOperator):
+    """SuperLU's factorization of a positive definite A - sigma*M, diagonal pivots only.
+
+    Raises NotPositiveDefiniteError unless every pivot is positive: a
+    negative one, a zero diagonal (which SuperLU replaces by an exchanged
+    row) or a shift singular to tolerance.
+    """
+
+    _options = _GSTRF_DIAGONAL_OPTIONS
+
+    def __init__(self, A: sp.spmatrix, M: sp.spmatrix, sigma: float):
+        try:
+            super().__init__(A, M, sigma)
+        except SingularShiftError as exc:
+            raise NotPositiveDefiniteError(
+                f"shift {sigma:.17g} is not below the spectrum ({exc})") from None
+        if not (np.array_equal(self._lu.perm_r, np.arange(self.n))
+                and (self._pivots > 0.0).all()):
+            raise NotPositiveDefiniteError(
+                f"shift {sigma:.17g} is not below the spectrum (a pivot is not positive)")
 
 
 class BandedCholesky:
@@ -315,6 +341,18 @@ class BandedCholesky:
         if b.shape != (self.n,):
             raise ValueError(f"right-hand side must have length {self.n}")
         return dpbtrs(self._factor, b, lower=1)[0]
+
+
+def factorize_positive_definite(A: sp.spmatrix, M: sp.spmatrix,
+                                sigma: float) -> BandedCholesky | FactorizedOperator:
+    """Factorize A - sigma*M; raises NotPositiveDefiniteError unless sigma lies below the spectrum.
+
+    Banded Cholesky up to ``_BANDED_MAX_DOFS`` unknowns, SuperLU with
+    diagonal pivots above.
+    """
+    if A.shape[0] <= _BANDED_MAX_DOFS:
+        return BandedCholesky(A, M, sigma)
+    return _DiagonalPivots(A, M, sigma)
 
 
 _MATVEC_KERNELS = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}

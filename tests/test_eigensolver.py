@@ -1,6 +1,5 @@
 import copy
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -30,9 +29,13 @@ from mlqmc_eig import (
     stiffness_interior,
     warm_start_from,
 )
-from mlqmc_eig import eigensolver, mesh_fem
-from mlqmc_eig.eigensolver import RQ_TOL, _gap_estimate, two_grid_fine_update
-from mlqmc_eig.sparse_linalg import NotPositiveDefiniteError, shifted_operator
+from mlqmc_eig import eigensolver, mesh_fem, sparse_linalg
+from mlqmc_eig.eigensolver import RQ_TOL, two_grid_fine_update
+from mlqmc_eig.sparse_linalg import (
+    NotPositiveDefiniteError,
+    factorize_positive_definite,
+    shifted_operator,
+)
 
 
 def unit_series():
@@ -119,17 +122,18 @@ class TestColdStart:
         p2, _ = smallest_eigenpair_cold(A2, M2)
         assert p1.lam == p2.lam
 
-    def test_gap_estimate_exposed(self):
-        # inverse iteration on lam1 = 2, lam2 = 3: the Rayleigh quotient
-        # error shrinks by (lam1/lam2)^2 = 4/9 per step
-        history = [2.0 + (4.0 / 9.0) ** k for k in range(5)]
-        assert _gap_estimate(history, 2.0) == pytest.approx(1.0, rel=1e-12)
-        # the estimate is capped at lam
-        history = [1.0 + (1.0 / 9.0) ** k for k in range(5)]
-        assert _gap_estimate(history, 1.0) == pytest.approx(1.0, rel=1e-12)
-        # degenerate histories fall back to lam
-        assert _gap_estimate([5.0, 5.0, 5.0], 5.0) == 5.0
-        assert _gap_estimate([7.0, 6.0, 5.0], 5.0) == 5.0
+    def test_certified_at_the_first_attempt_above_the_banded_cutoff(self, prob2):
+        # Problem 2 at h = 1/256, 65025 DOFs: the factorizations at shift 0
+        # and at the certificate are SuperLU's with diagonal pivots, whose
+        # inertia is known right next to lambda
+        mesh = build_uniform_mesh(8)
+        A = stiffness_interior(mesh, prob2, np.random.default_rng(0).random(64) - 0.5)
+        M = mass_interior(mesh, prob2)
+        assert A.shape[0] > sparse_linalg._BANDED_MAX_DOFS
+        pair, stats = smallest_eigenpair_cold(A, M)
+        assert (stats.factorizations, stats.rq_iterations) == (3, 1)
+        with pytest.raises(NotPositiveDefiniteError):
+            factorize_positive_definite(A, M, pair.lam * (1 + 1e-6))
 
 
 def cold_case(prob):
@@ -170,31 +174,29 @@ class TestSafeguardFailures:
     """The cold solve's restart and failure paths, reached by injection.
 
     Here on the banded path that cold solves take up to
-    ``_BANDED_MAX_DOFS`` interior DOFs: the certificate is a banded
-    Cholesky factorization at lambda (1 - 1e-6) that succeeds."""
+    ``sparse_linalg._BANDED_MAX_DOFS`` interior DOFs: the certificate is
+    a banded Cholesky factorization at lambda (1 - 1e-6) that succeeds."""
 
     def fail_first_certificate(self, monkeypatch) -> list:
         """The first certificate of the next cold solve fails; returns its shifts."""
         failed = []
-        cholesky = eigensolver.BandedCholesky
 
         def certificate_fails_once(A, M, sigma):
             # only the certificate; the shift-0 factorization runs as usual
             if sigma != 0.0 and not failed:
                 failed.append(sigma)
                 raise NotPositiveDefiniteError("injected")
-            return cholesky(A, M, sigma)
-        monkeypatch.setattr(eigensolver, "BandedCholesky", certificate_fails_once)
+            return factorize_positive_definite(A, M, sigma)
+        monkeypatch.setattr(eigensolver, "factorize_positive_definite",
+                            certificate_fails_once)
         return failed
 
     def fail_every_certificate(self, monkeypatch) -> None:
-        cholesky = eigensolver.BandedCholesky
-
         def certificate_fails(A, M, sigma):
             if sigma != 0.0:
                 raise NotPositiveDefiniteError("injected")
-            return cholesky(A, M, sigma)
-        monkeypatch.setattr(eigensolver, "BandedCholesky", certificate_fails)
+            return factorize_positive_definite(A, M, sigma)
+        monkeypatch.setattr(eigensolver, "factorize_positive_definite", certificate_fails)
 
     def test_restarts_after_rq_no_convergence(self, prob1, monkeypatch):
         A, M = cold_case(prob1)
@@ -256,7 +258,7 @@ class TestSafeguardFailures:
         assert lams[:2] == pytest.approx([0.8147, 1.3458], abs=1e-4)
         assert_restarts_from_lambda_2(A, M, lams, vecs, monkeypatch)
 
-    def test_restarts_after_singular_verify_shift(self, prob1, monkeypatch):
+    def test_restarts_after_a_failed_certificate(self, prob1, monkeypatch):
         A, M = cold_case(prob1)
         plain, plain_stats = smallest_eigenpair_cold(A, M)
         failed = self.fail_first_certificate(monkeypatch)
@@ -265,9 +267,9 @@ class TestSafeguardFailures:
         assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
         assert stats.factorizations > plain_stats.factorizations
 
-    def test_raises_when_dominance_check_keeps_failing(self, prob1, monkeypatch):
+    def test_raises_when_the_certificate_keeps_failing(self, prob1, monkeypatch):
         self.fail_every_certificate(monkeypatch)
-        with pytest.raises(NoConvergenceError, match="kept failing the dominance check"):
+        with pytest.raises(NoConvergenceError, match="kept failing the certificate"):
             smallest_eigenpair_cold(*cold_case(prob1))
 
     def test_nudges_then_raises_on_a_singular_shift(self, prob1, monkeypatch):
@@ -291,39 +293,12 @@ class TestSafeguardFailures:
 
 
 class TestSafeguardFailuresSuperLU(TestSafeguardFailures):
-    """The same paths above the banded cutoff, patched down to 0: SuperLU
-    factors at shift 0, and the certificate is the inertia of SuperLU's
-    factorization at lambda - rho/2."""
+    """The same paths above the banded cutoff, patched down to 0: both
+    positive definite factorizations are SuperLU's with diagonal pivots."""
 
     @pytest.fixture(autouse=True)
     def superlu_only(self, monkeypatch):
-        monkeypatch.setattr(eigensolver, "_BANDED_MAX_DOFS", 0)
-
-    def fail_first_certificate(self, monkeypatch) -> list:
-        failed = []
-        factorize = eigensolver._factorize_nudged
-
-        def verify_fails_once(A, M, sigma, stats):
-            # only the certificate's factorization, which the cold solve
-            # makes itself at lam - rho/2; its shift-0 one and the RQ steps
-            # run as usual
-            caller = sys._getframe(1).f_code.co_name
-            if caller == "smallest_eigenpair_cold" and sigma != 0.0 and not failed:
-                failed.append(sigma)
-                raise SingularShiftError("injected")
-            return factorize(A, M, sigma, stats)
-        monkeypatch.setattr(eigensolver, "_factorize_nudged", verify_fails_once)
-        return failed
-
-    def fail_every_certificate(self, monkeypatch) -> None:
-        # no factorization certifies: its inertia is never known
-        monkeypatch.setattr(eigensolver.FactorizedOperator, "negative_pivots", None)
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "the SuperLU certificate at lambda - rho/2, rho capped at lambda, "
-        "accepts lambda_2 < 2 lambda_1"))
-    def test_restarts_when_rq_lands_on_the_second_eigenvalue_p2(self, prob2, monkeypatch):
-        super().test_restarts_when_rq_lands_on_the_second_eigenvalue_p2(prob2, monkeypatch)
+        monkeypatch.setattr(sparse_linalg, "_BANDED_MAX_DOFS", 0)
 
 
 class TestMonotoneConvergence:

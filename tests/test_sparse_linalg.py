@@ -23,6 +23,7 @@ from mlqmc_eig.mesh_fem import prolongation
 from mlqmc_eig.sparse_linalg import (
     BandedCholesky,
     NotPositiveDefiniteError,
+    factorize_positive_definite,
     matvec,
     nested_dissection,
     shifted_operator,
@@ -84,6 +85,16 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize_shifted(A, M, 0.0)
 
+    @pytest.mark.parametrize("cutoff", [sparse_linalg._BANDED_MAX_DOFS, 0])
+    def test_positive_definite_refuses_a_zero_diagonal(self, cutoff, monkeypatch):
+        # [[0, 1], [1, 0]] has eigenvalues -1 and 1; SuperLU exchanges its
+        # rows, after which both pivots are 1
+        monkeypatch.setattr(sparse_linalg, "_BANDED_MAX_DOFS", cutoff)
+        pattern = ([0, 1, 0, 1], [0, 2, 4])
+        A = sp.csr_matrix(([0.0, 1.0, 1.0, 0.0], *pattern), shape=(2, 2))
+        M = sp.csr_matrix(([1.0, 0.0, 0.0, 1.0], *pattern), shape=(2, 2))
+        with pytest.raises(NotPositiveDefiniteError, match="not below the spectrum"):
+            factorize_positive_definite(A, M, 0.0)
 
     def test_pair_on_different_patterns(self, rng):
         # A diagonal, M tridiagonal: the shifted operator has no one pattern
@@ -205,13 +216,27 @@ class TestOrdering:
         assert all(o is orderings[0] for o in orderings)
 
 
+def ordered_csc(A, M, sigma):
+    """A - sigma*M as a CSC matrix in the package's ordering, and the ordering."""
+    ordering = sparse_linalg._cached_ordering(A.indptr, A.indices)
+    shifted = sp.csc_matrix(((A.data - sigma * M.data)[ordering.gather],
+                             ordering.indices, ordering.indptr), shape=A.shape)
+    return shifted, ordering
+
+
+def ordered_solve(lu, ordering):
+    def solve(b):
+        x = np.empty(b.size)
+        x[ordering.perm] = lu.solve(b[ordering.perm])
+        return x
+    return solve
+
+
 def splu_oracle(A, M, sigma):
     """The factorization through the public ``splu`` on the same ordered
     CSC input: (pivot ratio, fill, solve) with the package's pivot test, or
     None where that test rejects the shift."""
-    ordering = sparse_linalg._cached_ordering(A.indptr, A.indices)
-    shifted = sp.csc_matrix(((A.data - sigma * M.data)[ordering.gather],
-                             ordering.indices, ordering.indptr), shape=A.shape)
+    shifted, ordering = ordered_csc(A, M, sigma)
     try:
         lu = splu(shifted, permc_spec="NATURAL")
     except RuntimeError:
@@ -220,12 +245,7 @@ def splu_oracle(A, M, sigma):
     ratio = float(pivots.min() / pivots.max()) if pivots.max() > 0 else 0.0
     if ratio < sparse_linalg._PIVOT_RTOL:
         return None
-
-    def solve(b):
-        x = np.empty(b.size)
-        x[ordering.perm] = lu.solve(b[ordering.perm])
-        return x
-    return ratio, lu.nnz, solve
+    return ratio, lu.nnz, ordered_solve(lu, ordering)
 
 
 @pytest.fixture(scope="module")
@@ -266,9 +286,11 @@ class TestLeanFactorization:
 
         monkeypatch.setattr(_superlu, "gstrf", spy)
         splu(sp.identity(3, format="csc"), permc_spec="NATURAL")
-        assert len(calls) == 1
+        splu(sp.identity(3, format="csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        assert len(calls) == 2
         assert calls[0]["options"] == sparse_linalg._GSTRF_OPTIONS
-        assert calls[0]["ilu"] is False
+        assert calls[1]["options"] == sparse_linalg._GSTRF_DIAGONAL_OPTIONS
+        assert [call["ilu"] for call in calls] == [False, False]
 
     @pytest.mark.parametrize("shift", ["zero", "mid_gap", "lambda_1"])
     @pytest.mark.parametrize("m", range(3, 7))
@@ -294,28 +316,21 @@ class TestLeanFactorization:
         assert op.solve(b).tobytes() == solve(b).tobytes()
 
 
-class TestInertia:
-    @pytest.mark.parametrize("m", [3, 4])
-    @pytest.mark.parametrize("problem", ["prob1", "prob2"])
-    def test_negative_pivots_against_dense_spectrum(self, problem, m, request):
-        mesh = build_uniform_mesh(m)
-        A = stiffness_interior(mesh, request.getfixturevalue(problem),
-                               np.random.default_rng(m).random(16) - 0.5)
-        M = mass_interior(mesh, request.getfixturevalue(problem))
-        lams = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
-        for sigma in (0.0, lams[0] / 2):
-            assert factorize_shifted(A, M, sigma).negative_pivots == 0
-        # between lambda_1 and lambda_2 the count is one, or unknown where
-        # SuperLU exchanged rows, and never zero
-        mid_gap = factorize_shifted(A, M, (lams[0] + lams[1]) / 2).negative_pivots
-        assert mid_gap in (1, None)
-
-    def test_counts_eigenvalues_below_the_shift_without_row_exchanges(self):
-        A = sp.diags([3.0, 1.0, 4.0, 2.0]).tocsr()
-        M = sp.identity(4, format="csr")
-        counts = [factorize_shifted(A, M, sigma).negative_pivots
-                  for sigma in (0.5, 1.5, 2.5, 3.5, 4.5)]
-        assert counts == [0, 1, 2, 3, 4]
+    @pytest.mark.parametrize("shift", ["zero", "half", "below_lambda_1"])
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_diagonal_pivots_match_splu(self, spectra, name, m, shift, rng):
+        # the positive definite factorization above the banded cutoff
+        # against splu(..., diag_pivot_thresh=0.0) on the same input
+        A, M, lam1, _ = spectra[name, m]
+        sigma = {"zero": 0.0, "half": lam1 / 2, "below_lambda_1": lam1 * (1 - 1e-6)}[shift]
+        shifted, ordering = ordered_csc(A, M, sigma)
+        lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        op = sparse_linalg._DiagonalPivots(A, M, sigma)
+        assert np.array_equal(lu.perm_r, np.arange(A.shape[0]))
+        assert op.nnz == lu.nnz
+        b = rng.standard_normal(A.shape[0])
+        assert op.solve(b).tobytes() == ordered_solve(lu, ordering)(b).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -365,13 +380,18 @@ class TestBandedCholesky:
 
     @pytest.mark.parametrize("m", range(3, 6))
     @pytest.mark.parametrize("name", ["p1", "p2"])
-    def test_raises_exactly_from_the_smallest_eigenvalue(self, dense_spectra, name, m):
+    def test_raises_exactly_from_the_smallest_eigenvalue(self, dense_spectra, name, m,
+                                                         monkeypatch):
+        # factorize_positive_definite on both sides of the cutoff: banded
+        # Cholesky, then SuperLU with diagonal pivots
         A, M, lam1, lam2 = dense_spectra[name, m]
-        for sigma in (0.0, lam1 / 2, lam1 * (1 - 1e-6)):
-            BandedCholesky(A, M, sigma)
-        for sigma in (lam1 * (1 + 1e-6), (lam1 + lam2) / 2):
-            with pytest.raises(NotPositiveDefiniteError, match="not below the spectrum"):
-                BandedCholesky(A, M, sigma)
+        for cutoff in (sparse_linalg._BANDED_MAX_DOFS, 0):
+            monkeypatch.setattr(sparse_linalg, "_BANDED_MAX_DOFS", cutoff)
+            for sigma in (0.0, lam1 / 2, lam1 * (1 - 1e-6)):
+                factorize_positive_definite(A, M, sigma)
+            for sigma in (lam1 * (1 + 1e-6), (lam1 + lam2) / 2):
+                with pytest.raises(NotPositiveDefiniteError, match="not below the spectrum"):
+                    factorize_positive_definite(A, M, sigma)
 
     def test_pair_on_different_patterns(self, rng):
         A = sp.diags(rng.random(5) + 4.0).tocsr()
