@@ -27,9 +27,10 @@ fewer than ``_KRYLOV_MIN_DOFS`` interior DOFs, h = 1/64.  From there it is
 MINRES (Paige & Saunders 1975) on the symmetric indefinite operator
 A(y) - lambda_H M, preconditioned by a multigrid V-cycle (Hackbusch
 1985) built once per (mesh, problem) on the mean-field stiffness A(0),
-the cached matrix that ``mesh_fem.stiffness_interior`` returns at y = 0:
-Galerkin coarse operators P^T A P down to h = 1/8 with the ratio-2
-prolongations of ``mesh_fem.prolongation``, one damped-Jacobi sweep
+the cached matrix that ``mesh_fem.stiffness_interior`` returns at y = 0.
+Its coarse operators are the cached A(0) of each coarser mesh down to
+h = 1/8, not Galerkin products P^T A P, with the ratio-2 prolongations
+of ``mesh_fem.prolongation`` between them, one damped-Jacobi sweep
 before and one after each coarse correction, and a dense Cholesky
 factorization on the coarsest mesh.  Each solve rescales that cycle to
 its sample, as S B S with S = diag(A(0))^(1/2) diag(A(y))^(-1/2): the
@@ -309,13 +310,16 @@ class _VCycle:
     Level k holds the operator A_k, the damped inverse diagonal
     omega / diag(A_k), the prolongation P_k from the next coarser mesh
     and the restriction R_k = P_k.T, the CSC view on P_k's own arrays
-    (no copy; its mat-vec is the kernel of P_k.T @ r, bitwise);
-    A_(k+1) = P_k^T A_k P_k.  A_0 is
-    the cached A(0) of ``stiffness_interior``, so a two-grid update at
-    y = 0 and its V-cycle share one matrix; ``diagonal`` is diag(A_0).
+    (no copy; its mat-vec is the kernel of P_k.T @ r, bitwise).  Every
+    A_k is the cached A(0) of ``stiffness_interior`` on its mesh, so a
+    two-grid update at y = 0 and its V-cycle share one matrix, and the
+    cycle builds no operator of its own; ``diagonal`` is diag(A_0).
     ``apply`` approximates A_0^-1 r with one Jacobi sweep on each side
-    of every coarse correction: the two smoothers are adjoint, so the
-    cycle is symmetric, and with omega = 0.8 positive definite.
+    of every coarse correction.  The two smoothers are adjoint, so the
+    cycle is symmetric.  With omega = 0.8 the symmetrised smoother is
+    positive definite, and a positive definite coarse operator (the
+    A(0) of a mesh, or the exact inverse on the coarsest) keeps the
+    cycle positive definite, level by level.
     """
 
     def __init__(self, mesh: TriMesh, problem: CoefficientSeries):
@@ -323,9 +327,10 @@ class _VCycle:
         self.diagonal = A.diagonal()
         self.levels = []
         for m in range(mesh.level_exponent, _COARSEST_EXPONENT, -1):
-            P = prolongation(build_uniform_mesh(m - 1), build_uniform_mesh(m))
+            coarse = build_uniform_mesh(m - 1)
+            P = prolongation(coarse, build_uniform_mesh(m))
             self.levels.append((A, _JACOBI_OMEGA / A.diagonal(), P, P.T))
-            A = (P.T @ A @ P).tocsr()
+            A = stiffness_interior(coarse, problem, np.zeros(0))
         # dpotrs is the LAPACK call of scipy.linalg.cho_solve, bitwise
         self.coarsest, self.lower = scipy.linalg.cho_factor(A.toarray())
 

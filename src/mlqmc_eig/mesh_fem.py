@@ -17,9 +17,14 @@ one CSR pattern per mesh, so every shifted operator of that mesh shares
 it (see ``sparse_linalg``).  The pattern comes from the 7-point stencil
 of the mesh, with no sort: an interior node couples to itself and to
 its interior neighbours at the (row, column) offsets of ``_NEIGHBOURS``,
-whose columns ascend in that order.  Local entries whose row or column
-is a boundary node go to one extra bin past the pattern, which assembly
-drops.
+whose columns ascend in that order.  Assembly needs no map from local
+entries to the pattern: the value at offset k of every node is the sum
+of the local entries that land on it (``_LOCAL_ENTRIES``), each a
+window of the element values shifted by its cell, added in element
+order.  It works through the node rows in blocks of a bounded size
+(``_BLOCK_FLOATS``), so it makes no array of the size of the mesh but
+the matrix values, and each matrix is a clone of the mesh's pattern
+holding its values (``sparse_linalg.csr_with_data``).
 
 The stiffness matrix for a parameter ``y`` treats a and b alike: each
 field of the problem (``CoefficientSeries.fields``) keeps its base
@@ -48,6 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .problems import CoefficientSeries
+from .sparse_linalg import csr_with_data
 
 # row q: quadrature node q in barycentric coordinates, so the basis values there
 _PHI = np.array([
@@ -65,6 +71,25 @@ _VERTICES = np.array([[[0, 0], [1, 0], [1, 1]],
 # (row, column) offsets of the nodes a node couples to, columns ascending
 _NEIGHBOURS = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
+# for each offset of _NEIGHBOURS, the local entries that land on it, as
+# (t, i, j, a, b): entry (t, i, j) of cell (r + a - 1, c + b - 1) lands
+# on node (r, c).  They are in element order (by cell row, cell column,
+# then triangle); the diagonal takes six, every other offset two
+_LOCAL_ENTRIES = tuple(
+    sorted(((t, i, j, 1 - int(ri), 1 - int(ci))
+            for t, tri in enumerate(_VERTICES)
+            for i, (ci, ri) in enumerate(tri)
+            for j, (cj, rj) in enumerate(tri)
+            if (rj - ri, cj - ci) == offset), key=lambda entry: (*entry[3:], entry[0]))
+    for offset in _NEIGHBOURS)
+_DIAGONAL = _NEIGHBOURS.index((0, 0))
+
+# the order in which assembly sums them: the first of every offset, the
+# second of every offset, then the rest of the diagonal's
+_GATHER = tuple(np.array([*(entries[0] for entries in _LOCAL_ENTRIES),
+                          *(entries[1] for entries in _LOCAL_ENTRIES),
+                          *_LOCAL_ENTRIES[_DIAGONAL][2:]]).T)
+
 # h^2 grad(phi_i).grad(phi_j) on the lower (v00, v10, v11) and the upper
 # (v00, v11, v01) triangle of a cell; every mesh has only these two
 _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
@@ -78,6 +103,15 @@ _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
 # Tables stay up to h = 1/32 only because the bitwise-pinned outputs
 # (the Problem-2 estimate, whose finest mesh is h = 1/32) read them.
 _TABLE_MAX_FLOATS = 2 ** 19
+
+# assembly makes its arrays one block of node rows at a time, each of at
+# most this many floats (512 kB).  A P1 stiffness at a random y (s = 64,
+# one BLAS thread, best of 5, three rounds on a shared 2-core x86-64 VM)
+# takes 0.37, 1.37-1.45, 5.3-5.5 and 21-22 ms at h = 1/64 .. 1/512,
+# against 0.42-0.59, 1.5-1.6, 6.2-6.5 and 27-29 ms with 2^15 floats,
+# 0.35, 1.28-1.34, 4.9-5.3 and 20-22 ms with 2^17, and 0.46-0.50,
+# 1.7-1.9, 7.0-9.0 and 38-47 ms for the per-mesh slot map it replaced
+_BLOCK_FLOATS = 2 ** 16
 
 
 class CoefficientBoundError(ValueError):
@@ -132,12 +166,12 @@ class _Geometry:
     so the nodes follow the table.
 
     ``indices`` and ``indptr`` (int32) are the interior CSR pattern,
-    read off the 7-point stencil of ``_NEIGHBOURS`` with no sort.
-    ``slots[k]`` (int32) is the data slot of local entry k of the
-    9 * n_el, in element order; an entry whose row or column is a
-    boundary node has slot nnz, the extra bin that ``assemble`` drops.
-    ``assemble`` accumulates with ``np.add.at`` into zeros, so every
-    slot sums its contributions in element order.
+    read off the 7-point stencil of ``_NEIGHBOURS`` with no sort: node
+    row r of the interior couples to row r + dr of offset k when
+    ``valid_rows[k, r - 1]``, and likewise for columns and
+    ``valid_columns``.  ``pattern`` is a CSR matrix on them with no
+    values, which ``assemble`` clones.  The geometry holds no array of
+    the size of the mesh besides its pattern.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -155,29 +189,30 @@ class _Geometry:
         # interior CSR pattern: node (r, c) couples to (r + dr, c + dc)
         # of _NEIGHBOURS[k] when both are interior; row-major over
         # (r, c, k) the valid couplings are the CSR entries in order
-        index = mesh.interior_index.reshape(n + 1, n + 1)
-        column = np.full((n + 1, n + 1, len(_NEIGHBOURS)), -1, dtype=np.int32)
-        for k, (dr, dc) in enumerate(_NEIGHBOURS):
-            column[1:n, 1:n, k] = index[1 + dr:n + dr, 1 + dc:n + dc]
-        valid = column >= 0
-        self.indices = column[valid]
-        del column
+        inner = np.arange(1, n)
+        dr, dc = np.array(_NEIGHBOURS).T[..., None]
+        self.valid_rows = (inner + dr >= 1) & (inner + dr <= n - 1)
+        self.valid_columns = (inner + dc >= 1) & (inner + dc <= n - 1)
+        valid = self._couplings(slice(None))
+        dofs = np.arange(mesh.n_interior, dtype=np.int32).reshape(n - 1, n - 1, 1)
+        self.indices = (dofs + (dr * (n - 1) + dc).astype(np.int32).ravel())[valid]
         self.indptr = np.zeros(mesh.n_interior + 1, dtype=np.int32)
-        np.cumsum(valid[1:n, 1:n].sum(axis=2), out=self.indptr[1:])
-        nnz = self.indices.size
+        np.cumsum(valid.sum(axis=2, dtype=np.int32), out=self.indptr[1:])
+        dim = mesh.n_interior
+        self.pattern = sp.csr_matrix(
+            (np.broadcast_to(0.0, self.indices.shape), self.indices, self.indptr),
+            shape=(dim, dim))
+        # the constructor keeps a view of indices; hold the mesh's own array,
+        # so every matrix of the mesh shares its pattern by identity.  The
+        # stencil columns ascend with no repeat, so the pattern is canonical
+        self.pattern.indices = self.indices
+        self.pattern.has_canonical_format = True
+        del self.pattern.data
 
-        # slot of every local entry (cell row, cell column, triangle t,
-        # i, j) in the data array; entries off the pattern go to bin nnz
-        slot = np.full(valid.shape, nnz, dtype=np.int32)
-        slot[valid] = np.arange(nnz, dtype=np.int32)
-        del valid
-        slots = np.empty((n, n, 2, 3, 3), dtype=np.int32)
-        for t, tri in enumerate(_VERTICES):
-            for i, (ci, ri) in enumerate(tri):
-                for j, (cj, rj) in enumerate(tri):
-                    k = _NEIGHBOURS.index((rj - ri, cj - ci))
-                    slots[:, :, t, i, j] = slot[ri:ri + n, ci:ci + n, k]
-        self.slots = slots.ravel()
+    def _couplings(self, rows: slice) -> np.ndarray:
+        """Which couplings of the interior node rows ``rows`` (from 0) are
+        in the pattern, as (row, column, offset)."""
+        return (self.valid_rows[:, rows, None] & self.valid_columns[:, None]).transpose(1, 2, 0)
 
     def evaluate(self, fn, out: np.ndarray | None = None) -> np.ndarray:
         """``fn((x1, x2))`` at every quadrature node, flat in element order.
@@ -194,30 +229,66 @@ class _Geometry:
         out.reshape(n, n, 6)[...] = np.moveaxis(vals, 0, -1)
         return out
 
-    def assemble(self, cell_scalars: np.ndarray | None,
-                 quad_scalars: np.ndarray | None) -> sp.csr_matrix:
-        """Sum ``cell * grad_i.grad_j + (area/3) * quad_q * phi_i phi_j``."""
-        # elements alternate lower, upper per cell
-        vals = None if cell_scalars is None else \
-            (self.stencils * cell_scalars.reshape(-1, 2, 1, 1)).reshape(-1, 3, 3)
-        if quad_scalars is not None:
-            mass = np.einsum("eq,qij->eij", quad_scalars.reshape(-1, 3) * (self.area / 3.0),
-                             _PHI_OUTER)
+    def _local_values(self, cells, quads, rows: slice) -> np.ndarray:
+        """The local entries of cell ``rows``, (t, i, j, cell row, cell column).
+
+        ``cells[r, 2 c + t]`` and ``quads[r, 6 c + 3 t + q]`` hold the
+        scalars of triangle t (at node q) of cell (r, c); either may be None.
+        """
+        n = self.mesh.n_per_side
+        vals = None
+        if cells is not None:
+            vals = self.stencils[..., None, None] * \
+                cells[rows].reshape(-1, n, 2).transpose(2, 0, 1)[:, None, None]
+        if quads is not None:
+            w = np.multiply(quads[rows].reshape(-1, n, 6).transpose(2, 0, 1), self.area / 3.0,
+                            order="C")
+            # a mass entry sums at most two nonzero products w_q / 4, each
+            # exact, so its bits do not depend on the order of the sum
+            mass = np.matmul(_PHI_OUTER.reshape(3, 9).T, w.reshape(2, 3, -1)).reshape(2, 3, 3, -1, n)
             # without a cell part the mass part is the values
             if vals is None:
                 vals = mass
             else:
                 vals += mass
-        nnz = self.indices.size
-        data = np.zeros(nnz + 1)
-        np.add.at(data, self.slots, vals.ravel())
-        data = data[:nnz]
-        dim = self.mesh.n_interior
-        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
-        # the constructor keeps a view of indices; hold the mesh's own array,
-        # so every matrix of the mesh shares its pattern by identity
-        mat.indices = self.indices
-        return mat
+        return vals
+
+    def assemble(self, cell_scalars: np.ndarray | None,
+                 quad_scalars: np.ndarray | None) -> sp.csr_matrix:
+        """Sum ``cell * grad_i.grad_j + (area/3) * quad_q * phi_i phi_j``.
+
+        Node rows go in blocks whose local entries, those of the block's
+        cell rows and of the row below, take at most ``_BLOCK_FLOATS``
+        floats (but at least one node row).  The value at offset k of
+        node (r, c) sums the entries of ``_LOCAL_ENTRIES[k]`` left to
+        right, so in element order, from the first entry (a sum into
+        zeros gives the same bits: 0.0 + v is v for every v but -0.0,
+        and no local entry is -0.0, as a > 0 and c > 0).  Each entry
+        is a window of the block's local entries; the windows are
+        gathered in ``_GATHER`` order and summed in place.  The valid
+        couplings of a block's node rows are one slice of the values.
+        """
+        n = self.mesh.n_per_side
+        width = len(_NEIGHBOURS)
+        cells = None if cell_scalars is None else cell_scalars.reshape(n, 2 * n)
+        quads = None if quad_scalars is None else quad_scalars.reshape(n, 6 * n)
+        data = np.empty(self.indices.size)
+        step = max(1, _BLOCK_FLOATS // (18 * n) - 1)
+        for top in range(1, n, step):            # node rows top .. end - 1
+            end = min(top + step, n)
+            vals = self._local_values(cells, quads, slice(top - 1, end))
+            # windows[t, i, j, a, b] holds the local entry (t, i, j) of cell
+            # (r + a - 1, c + b - 1) at each node (r, c) of the block
+            slab, row, column = vals.strides[:3], vals.strides[3], vals.strides[4]
+            windows = np.ndarray((2, 3, 3, 2, 2, end - top, n - 1), buffer=vals,
+                                 strides=(*slab, row, column, row, column))
+            sums = windows[_GATHER]
+            np.add(sums[:width], sums[width:2 * width], out=sums[:width])
+            for window in sums[2 * width:]:
+                sums[_DIAGONAL] += window
+            lo, hi = self.indptr[(top - 1) * (n - 1)], self.indptr[(end - 1) * (n - 1)]
+            data[lo:hi] = sums[:width].transpose(1, 2, 0)[self._couplings(slice(top - 1, end - 1))]
+        return csr_with_data(self.pattern, data)
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +384,10 @@ def _stiffness(mesh: TriMesh, problem: CoefficientSeries, a_q: np.ndarray,
             f"{problem.name}: a(x, y) = {worst:g} <= 0 at a quadrature node"
         )
     geo = _geometry(mesh)
-    # left to right, bitwise the sum over a length-3 axis
-    cell = (geo.area / 3.0) * (a_q[0::3] + a_q[1::3] + a_q[2::3])
+    # left to right, bitwise the sum over a length-3 axis, then scaled
+    cell = a_q[0::3] + a_q[1::3]
+    cell += a_q[2::3]
+    cell *= geo.area / 3.0
     return geo.assemble(cell, b_q)
 
 
@@ -363,25 +436,37 @@ def prolongation(coarse: TriMesh, fine: TriMesh) -> sp.csr_matrix:
     ratio = fine.n_per_side // coarse.n_per_side
     nf, nc = fine.n_per_side, coarse.n_per_side
 
-    idx = np.arange(1, nf)                            # interior rows/columns
-    cell = idx // ratio
-    frac = idx / ratio - cell
-    cell_c, cell_r = np.meshgrid(cell, cell)          # column/row cell index
-    xi, eta = np.meshgrid(frac, frac)                 # local coords in the cell
-    xi, eta = xi.ravel(), eta.ravel()
-    v00 = (cell_r * (nc + 1) + cell_c).ravel()
+    inner = np.arange(1, nf)                          # interior rows/columns
+    cell = inner // ratio
+    frac = inner / ratio - cell                       # local coordinate in the cell
+    xi, eta = frac, frac[:, None]
+    # the weights of (v00, v10 or v01, v11) at fine node (row, column):
+    # 1 - max(xi, eta), |xi - eta| and min(xi, eta), bitwise the weights
+    # of either triangle (a - b is exactly -(b - a))
+    weights = np.empty((nf - 1, nf - 1, 3))
+    np.subtract(1.0, np.maximum(xi, eta), out=weights[..., 0])
+    np.abs(np.subtract(xi, eta, out=weights[..., 1]), out=weights[..., 1])
+    np.minimum(xi, eta, out=weights[..., 2])
+    # a vertex k cells on from the node's cell is interior when ok[k] holds
+    ok = [(cell + k >= 1) & (cell + k <= nc - 1) for k in (0, 1)]
     lower = xi >= eta
+    keep = weights != 0.0
+    keep[..., 0] &= ok[0][:, None] & ok[0]
+    keep[..., 1] &= np.where(lower, ok[0][:, None] & ok[1], ok[1][:, None] & ok[0])
+    keep[..., 2] &= ok[1][:, None] & ok[1]
+    data = weights[keep]
+    del weights
 
-    cols = np.column_stack([v00, np.where(lower, v00 + 1, v00 + nc + 1), v00 + nc + 2])
-    weights = np.column_stack([np.where(lower, 1.0 - xi, 1.0 - eta),
-                               np.where(lower, xi - eta, eta - xi),
-                               np.where(lower, eta, xi)])
-    rows = np.repeat(np.arange(fine.n_interior), 3)
-    cols, weights = coarse.interior_index[cols.ravel()], weights.ravel()
-    keep = (weights != 0.0) & (cols >= 0)
-    shape = (fine.n_interior, coarse.n_interior)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=shape[0]))))
-    mat = sp.csr_matrix((weights[keep], cols[keep], indptr), shape=shape)
+    # interior index of v00, then v10 (+1) or v01 (+nc-1), and v11 (+nc)
+    columns = np.empty((nf - 1, nf - 1, 3), dtype=np.int32)
+    np.add(((cell - 1) * (nc - 1))[:, None], cell - 1, out=columns[..., 0])
+    np.add(columns[..., 0], np.where(lower, 1, nc - 1), out=columns[..., 1])
+    np.add(columns[..., 0], nc, out=columns[..., 2])
+    indices = columns[keep]
+    del columns
+    indptr = np.zeros(fine.n_interior + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+    mat = sp.csr_matrix((data, indices, indptr), shape=(fine.n_interior, coarse.n_interior))
     mat.data.setflags(write=False)
     return mat
 

@@ -505,7 +505,8 @@ class TestMultigridUpdate:
 
     def test_update_and_vcycle_share_one_mean_field_assembly(self, prob1, monkeypatch):
         # a y = 0 update at h = 1/128 runs MINRES; its operator A(0) is the
-        # V-cycle's finest operator, assembled once per (mesh, problem)
+        # V-cycle's finest operator, and every coarser operator of the cycle
+        # is that mesh's A(0): each is assembled once per (mesh, problem)
         y = np.zeros(64)
         coarse, pair = coarse_pair_at(prob1, y)
         fine = build_uniform_mesh(7)
@@ -523,9 +524,14 @@ class TestMultigridUpdate:
         for _ in range(2):
             _, _, stats = two_grid_fine_update(prob1, y, coarse, pair, fine, 64)
             assert stats.krylov_iterations > 0 and stats.factorizations == 0
-        A = stiffness_interior(fine, prob1, np.zeros(0))
-        assert eigensolver._vcycle(fine, prob1).levels[0][0] is A
-        assert assembled == [(fine, prob1)]
+        levels = eigensolver._vcycle(fine, prob1).levels
+        meshes = [build_uniform_mesh(m) for m in range(7, eigensolver._COARSEST_EXPONENT, -1)]
+        for (A, *_), mesh in zip(levels, meshes):
+            assert A is stiffness_interior(mesh, prob1, np.zeros(0))
+        assert len(levels) == len(meshes)
+        coarsest = build_uniform_mesh(eigensolver._COARSEST_EXPONENT)
+        assert sorted(assembled, key=lambda pair: pair[0].level_exponent) == \
+            [(mesh, prob1) for mesh in [coarsest] + meshes[::-1]]
 
     def test_iteration_cap_raises(self, prob1, rng, monkeypatch):
         monkeypatch.setattr(eigensolver, "_KRYLOV_MIN_DOFS", 0)

@@ -182,17 +182,18 @@ def general_assembly_data(geo, grad_dot, cell_scalars, quad_scalars):
 
 
 def bincount_assembly_data(geo, cell_scalars, quad_scalars):
-    """CSR data of ``geo.assemble`` by the formula that ``np.add.at`` on
-    int32 slots replaced: int64 slots, a zero-filled buffer for the mass
-    part when there is no cell part, and ``np.bincount``."""
+    """CSR data of ``geo.assemble`` by the formula that the per-mesh slot
+    map of the local entries served: every local entry in element order,
+    a zero-filled buffer for the mass part when there is no cell part,
+    and ``np.bincount`` on the slots of the sort-based pattern, so each
+    value is summed in element order."""
     vals = np.zeros((geo.mesh.n_elements, 3, 3)) if cell_scalars is None else \
         (geo.stencils * cell_scalars.reshape(-1, 2, 1, 1)).reshape(-1, 3, 3)
     if quad_scalars is not None:
         w = quad_scalars.reshape(-1, 3) * (geo.area / 3.0)
         vals = vals + np.einsum("eq,qij->eij", w, mesh_fem._PHI_OUTER)
-    nnz = geo.indices.size
-    slots = geo.slots.astype(np.int64)
-    return np.bincount(slots, weights=vals.ravel(), minlength=nnz + 1)[:nnz]
+    indices, _, slots, keep = sort_pattern(geo.mesh)
+    return np.bincount(slots, weights=vals.ravel()[keep], minlength=indices.size)
 
 
 def pointwise_quad_points(mesh):
@@ -337,11 +338,6 @@ class TestPattern:
         assert geo.indices.dtype == geo.indptr.dtype == np.int32
         assert geo.indices.tobytes() == indices.tobytes()
         assert geo.indptr.tobytes() == indptr.tobytes()
-        assert geo.slots.dtype == np.int32
-        assert geo.slots.size == keep.size == 9 * mesh.n_elements
-        assert np.array_equal(geo.slots[keep], slots)
-        # every entry with a boundary row or column goes to the extra bin
-        assert np.all(geo.slots[~keep] == indices.size)
 
     def test_matrices_hold_the_mesh_pattern_by_identity(self, prob1, prob2):
         # every matrix of a mesh holds the geometry's own index arrays, so
@@ -367,15 +363,31 @@ class TestPattern:
         assert geo.indices.size > 0
         assert peak <= 3 * retained, (peak, retained)
 
+    def test_geometry_holds_no_mesh_sized_array_but_its_pattern(self):
+        # assembly needs no map of the local entries: besides indices and
+        # indptr every array the geometry holds has O(n) entries
+        mesh = mesh_fem.TriMesh(8)
+        geo = mesh_fem._Geometry(mesh)
+        held = [v for v in [*vars(geo).values(), *vars(geo.pattern).values()]
+                if isinstance(v, np.ndarray)]
+        assert any(v is geo.indices for v in held) and any(v is geo.indptr for v in held)
+        others = [v for v in held if v is not geo.indices and v is not geo.indptr]
+        assert others and max(v.size for v in others) <= 7 * mesh.n_per_side
+
 
 class TestAssembly:
-    @pytest.mark.parametrize("m", range(3, 8))
-    @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
-                             ids=["p1", "p1-slow-decay", "p2"])
+    @pytest.mark.parametrize("problem, m", [
+        *((problem, m) for m in range(3, 9)
+          for problem in (problem1(2.0), problem1(1.4), problem2())),
+        (problem1(2.0), 9)],
+        ids=[*(f"{name}-{m}" for m in range(3, 9) for name in ("p1", "p1-slow-decay", "p2")),
+             "p1-9"])
     def test_matches_the_bincount_formula_bitwise(self, problem, m, monkeypatch):
-        # np.add.at sums every slot in element order, as np.bincount did:
-        # the stiffness (cell part, plus the mass part of b for Problem 2)
-        # on either coefficient path, and the mass matrix (mass part only)
+        # the stencil windows sum every CSR value in element order, as
+        # np.bincount on the slots of the sort-based pattern does: the
+        # stiffness at a random y (cell part, plus the mass part of b for
+        # Problem 2) on either coefficient path, and the mass matrix (mass
+        # part only); m = 9 spans several blocks of node rows
         mesh = build_uniform_mesh(m)
         geo = mesh_fem._geometry(mesh)
         y = np.random.default_rng(m).random(64) - 0.5
@@ -389,10 +401,13 @@ class TestAssembly:
                               bits(bincount_assembly_data(geo, None, c)))
 
     def test_mass_peak_memory(self, prob1, monkeypatch):
-        # the local values, 9 * n_el floats, are the one array of that size
-        # the mass matrix needs.  On a fresh m = 8 geometry the peak is
-        # 1.72x them, under a bound of 2x; a zero-filled buffer plus the
-        # copy that adding the einsum to it makes gave 2.67x
+        # the local values, 9 * n_el floats, are made one block of node
+        # rows at a time, so the mass matrix holds c at the quadrature
+        # nodes, its CSR values and one block.  On a fresh m = 8 geometry
+        # the peak is 0.90x the local values, under a bound of 1x; the
+        # whole local values with a per-mesh slot map gave 1.72x, and a
+        # zero-filled buffer plus the copy that adding the einsum to it
+        # makes gave 2.67x
         mesh = mesh_fem.TriMesh(8)
         geo = mesh_fem._Geometry(mesh)
         monkeypatch.setattr(mesh_fem, "_geometry", lambda _: geo)
@@ -403,7 +418,7 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         local_values = 9 * mesh.n_elements * 8
-        assert peak <= 2.0 * local_values, peak / local_values
+        assert peak <= 1.0 * local_values, peak / local_values
 
     def test_stiffness_annihilates_constants(self, prob1, rng):
         # a row whose node has no boundary neighbour holds the whole
@@ -771,6 +786,20 @@ class TestProlongate:
             assert prolongate(u, coarse, fine).tobytes() == \
                 restrict_vec(fine, stencil_prolongate(embed(coarse, u), coarse,
                                                       fine)).tobytes()
+
+    @pytest.mark.parametrize("mc", [3, 7])
+    def test_peak_memory_within_3x_retained(self, mc):
+        # the weights and columns of the three candidate vertices of every
+        # fine node, each freed once its kept entries are taken
+        coarse, fine = build_uniform_mesh(mc), build_uniform_mesh(8)
+        tracemalloc.start()
+        try:
+            P = mesh_fem.prolongation.__wrapped__(coarse, fine)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert P.indices.dtype == P.indptr.dtype == np.int32
+        assert peak <= 3 * retained, (peak, retained)
 
     def test_constant_preserved(self):
         # the rows of P sum to 1 where no coarse boundary vertex takes part;

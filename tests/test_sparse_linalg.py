@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from mlqmc_eig import (
     stiffness_interior,
 )
 from mlqmc_eig import eigensolver, sparse_linalg
+from mlqmc_eig import mesh_fem
 from mlqmc_eig.mesh_fem import prolongation
 from mlqmc_eig.sparse_linalg import (
     BandedCholesky,
     NotPositiveDefiniteError,
+    csr_with_data,
     factorize_positive_definite,
     matvec,
     nested_dissection,
@@ -448,6 +451,54 @@ class TestBandedCholesky:
         for solutions in results:
             assert solutions is not None
             assert all(np.array_equal(x, e) for x, e in zip(solutions, expected, strict=True))
+
+
+class TestCsrWithData:
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    @pytest.mark.parametrize("name", ["prob1", "prob2"])
+    def test_clone_matches_the_checked_constructor(self, name, m, rng, request):
+        # assembled and shifted matrices are clones of a pattern; scipy's
+        # checking constructor on the same arrays is the oracle
+        problem = request.getfixturevalue(name)
+        mesh = build_uniform_mesh(m)
+        A = stiffness_interior(mesh, problem, rng.random(16) - 0.5)
+        M = mass_interior(mesh, problem)
+        K = shifted_operator(A, M, 3.0)
+        for S in (A, M, K, csr_with_data(mesh_fem._geometry(mesh).pattern, A.data)):
+            checked = sp.csr_matrix((S.data, S.indices, S.indptr), shape=S.shape)
+            assert type(S) is type(checked)
+            assert (S.shape, S.dtype, S.nnz) == (checked.shape, checked.dtype, checked.nnz)
+            assert S.has_canonical_format and checked.has_canonical_format
+            for a, b in ((S.data, checked.data), (S.indices, checked.indices),
+                         (S.indptr, checked.indptr)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            x = rng.standard_normal(S.shape[1])
+            assert (S @ x).tobytes() == (checked @ x).tobytes()
+
+    def test_pattern_holds_no_values(self):
+        geo = mesh_fem._geometry(build_uniform_mesh(4))
+        assert "data" not in vars(geo.pattern)
+        assert geo.pattern.indices is geo.indices and geo.pattern.indptr is geo.indptr
+
+    def test_shifted_operator_is_the_subtraction_bitwise(self, prob2, rng):
+        # sigma * M into the result, then A minus it in place: the two
+        # roundings of A - sigma * M, on A's own index arrays
+        mesh = build_uniform_mesh(5)
+        A = stiffness_interior(mesh, prob2, rng.random(16) - 0.5)
+        M = mass_interior(mesh, prob2)
+        K = shifted_operator(A, M, 3.7)
+        assert K.data.tobytes() == (A.data - 3.7 * M.data).tobytes()
+        assert K.indices is A.indices and K.indptr is A.indptr
+        assert not np.shares_memory(K.data, A.data)
+        # and its one new array is the result: the extra memory at peak is
+        # one array of values, where a temporary for sigma * M makes two
+        tracemalloc.start()
+        try:
+            shifted_operator(A, M, 3.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * A.data.nbytes, peak / A.data.nbytes
 
 
 class TestMatvec:
