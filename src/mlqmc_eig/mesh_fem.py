@@ -27,17 +27,14 @@ the matrix values, and each matrix is a clone of the mesh's pattern
 holding its values (``sparse_linalg.csr_with_data``).
 
 The stiffness matrix for a parameter ``y`` treats a and b alike: each
-field of the problem (``CoefficientSeries.fields``) keeps its base
-values and a table of its terms, evaluated once per (mesh, problem,
-truncation) at O(s n) sines, and is one mat-vec per sample, so the
-per-sample cost scales like s * h^-2.  The mean field y = 0 needs no
-tables: A(0) is assembled from a0 and b0 once per (mesh, problem) and
-cached, like the mass matrix.  Tables larger than
-``_TABLE_MAX_FLOATS`` (4 MB, so up to h = 1/32 at s = 64) are not
-built; each field is then evaluated separably, from the rank-one 1-D
-factors of its terms (``SeparableTerms.rank_one``), as one batched
-matrix product over the six node grids.  A ``CoefficientSeries``
-without ``separable`` therefore needs it from h = 1/64 on at s = 64.
+field of the problem (``CoefficientSeries.fields``) is evaluated
+separably, from the rank-one 1-D factors of its terms
+(``SeparableTerms.rank_one``), as base values plus one batched matrix
+product over the six node grids.  The factors take O(s n) sines once
+per (mesh, problem, truncation), so the per-sample cost scales like
+s * h^-2.  The mean field y = 0 needs no factors: A(0) is assembled
+from a0 and b0 once per (mesh, problem) and cached, like the mass
+matrix.
 
 Transfer between nested meshes is one matrix per (coarse, fine) pair,
 ``prolongation``, built once from the interpolation stencil on the
@@ -47,7 +44,7 @@ hierarchy of ``eigensolver``.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,15 +92,6 @@ _GATHER = tuple(np.array([*(entries[0] for entries in _LOCAL_ENTRIES),
 _STENCILS = np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                       [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
 
-# coefficient tables are built only up to this size (floats; 4 MB, so
-# up to h = 1/32 at s = 64).  Above it a field is one GEMM of the 1-D
-# factors of its terms, which is faster at every size: per P1 field at
-# s = 64, 0.12 ms against the table's 0.61 ms at h = 1/64 and 0.05 ms
-# against 0.14 ms at h = 1/32 (one BLAS thread, shared 2-core x86-64 VM).
-# Tables stay up to h = 1/32 only because the bitwise-pinned outputs
-# (the Problem-2 estimate, whose finest mesh is h = 1/32) read them.
-_TABLE_MAX_FLOATS = 2 ** 19
-
 # assembly makes its arrays one block of node rows at a time, each of at
 # most this many floats (512 kB).  A P1 stiffness at a random y (s = 64,
 # one BLAS thread, best of 5, three rounds on a shared 2-core x86-64 VM)
@@ -125,10 +113,9 @@ class TriMesh:
     ``r*(n+1) + c`` sits at (c*h, r*h).  Every square cell is split into
     the two counterclockwise triangles (v00, v10, v11) and
     (v00, v11, v01), each of area h^2/2, and elements are numbered by
-    cell (row-major), lower before upper.  The mesh stores no node or
-    element arrays, only its counts and ``interior_index`` (the DOF of
-    each node, -1 on the boundary); everything else follows from the
-    structure.
+    cell (row-major), lower before upper.  The interior nodes are the
+    DOFs, in node order.  The mesh stores no array, only its counts;
+    everything else follows from the structure.
     """
 
     def __init__(self, level_exponent: int):
@@ -143,9 +130,6 @@ class TriMesh:
         self.n_nodes = (n + 1) ** 2
         self.n_elements = 2 * n * n
         self.n_interior = (n - 1) ** 2
-        index = np.full((n + 1, n + 1), -1, dtype=np.int64)
-        index[1:n, 1:n] = np.arange(self.n_interior).reshape(n - 1, n - 1)
-        self.interior_index = index.ravel()
 
     def __repr__(self):
         return f"TriMesh(m={self.level_exponent}, h=1/{self.n_per_side})"
@@ -214,18 +198,16 @@ class _Geometry:
         in the pattern, as (row, column, offset)."""
         return (self.valid_rows[:, rows, None] & self.valid_columns[:, None]).transpose(1, 2, 0)
 
-    def evaluate(self, fn, out: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, fn) -> np.ndarray:
         """``fn((x1, x2))`` at every quadrature node, flat in element order.
 
         ``fn`` is called once, on the six node grids stacked on a leading
         axis (x1 of shape (6, 1, n), x2 of shape (6, n, 1)); its values
-        are moved into (cell row, cell column, node) order, written into
-        ``out`` when given.
+        are moved into (cell row, cell column, node) order.
         """
         n = self.mesh.n_per_side
         vals = fn((self.quad_x1[:, None, :], self.quad_x2[:, :, None]))
-        if out is None:
-            out = np.empty(6 * n * n)
+        out = np.empty(6 * n * n)
         out.reshape(n, n, 6)[...] = np.moveaxis(vals, 0, -1)
         return out
 
@@ -243,8 +225,11 @@ class _Geometry:
         if quads is not None:
             w = np.multiply(quads[rows].reshape(-1, n, 6).transpose(2, 0, 1), self.area / 3.0,
                             order="C")
+            # every row of _PHI holds two exact nonzero weights of 1/2, so
             # a mass entry sums at most two nonzero products w_q / 4, each
-            # exact, so its bits do not depend on the order of the sum
+            # exact, and its bits do not depend on the order of the sum.
+            # Rows with three inexact weights (a Gauss rule) would make
+            # the bits depend on it: the sum must then run left to right
             mass = np.matmul(_PHI_OUTER.reshape(3, 9).T, w.reshape(2, 3, -1)).reshape(2, 3, 3, -1, n)
             # without a cell part the mass part is the values
             if vals is None:
@@ -297,46 +282,23 @@ def _geometry(mesh: TriMesh) -> _Geometry:
 
 
 @lru_cache(maxsize=32)
-def _tables(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple | None:
-    """One (base values, term table) pair per field of ``problem``.
-
-    The values are at the quadrature nodes, a first, then b when the
-    problem has one; each of the s table rows is filled in place by one
-    call of the term on the node grids, so the field at y is one
-    mat-vec.  None when the tables would exceed ``_TABLE_MAX_FLOATS``;
-    ``_factors`` serves those sizes.
-    """
-    n_quad = 3 * mesh.n_elements
-    if s * n_quad > _TABLE_MAX_FLOATS:
-        return None
-    geo = _geometry(mesh)
-    tables = []
-    for base, term in problem.fields:
-        base_q, table = geo.evaluate(base), np.empty((s, n_quad))
-        for j in range(1, s + 1):
-            geo.evaluate(partial(term, j), out=table[j - 1])
-        tables.append((base_q, table))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=32)
 def _factors(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple:
     """One (base values, index, weight, G, F^T) per field of ``problem``.
 
     The rank-one factors of terms 1..s (``SeparableTerms.rank_one``) on
     the six node grids: G (6, n, r) over x2 and F^T (6, r, n) over x1,
     so the field at y is base + G diag(weight * y[index]) F^T on each
-    grid.
+    grid.  This is the only way a field is evaluated at y != 0.  The
+    s x n_quad term tables it replaced (one mat-vec per field) were
+    faster only on the coarsest mesh: per field at s = 64 (one BLAS
+    thread, best of 7, two rounds on a shared 2-core x86-64 VM) the
+    product takes 13-16 us (P1) and 18-27 us (P2) against the tables'
+    4-5 us at h = 1/8, but 39-75 us against 143-156 us at h = 1/32 and
+    0.10-0.17 ms against 0.56-0.60 ms at h = 1/64.
     """
-    families = problem.separable
-    if families is None:
-        raise ValueError(
-            f"{problem.name}: coefficient tables above _TABLE_MAX_FLOATS need "
-            "term families stated as SeparableTerms"
-        )
     geo = _geometry(mesh)
     factors = []
-    for (base, _), family in zip(problem.fields, families):
+    for (base, _), family in zip(problem.fields, problem.separable):
         index, weight, F, G = family.rank_one(s, geo.quad_x1, geo.quad_x2)
         factors.append((geo.evaluate(base), index, weight, G,
                         np.ascontiguousarray(F.swapaxes(1, 2))))
@@ -346,7 +308,9 @@ def _factors(mesh: TriMesh, problem: CoefficientSeries, s: int) -> tuple:
 def _separable_values(geo: _Geometry, base_q, index, weight, G, FT,
                       y: np.ndarray) -> np.ndarray:
     """base + sum_j y_j term_j at the quadrature nodes, from ``_factors``."""
-    return base_q + geo.evaluate(lambda _: np.matmul(G * (weight * y[index]), FT))
+    out = geo.evaluate(lambda _: np.matmul(G * (weight * y[index]), FT))
+    out += base_q
+    return out
 
 
 def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_matrix:
@@ -357,21 +321,15 @@ def stiffness_interior(mesh: TriMesh, problem: CoefficientSeries, y) -> sp.csr_m
     quadrature rule of ``_PHI``; the truncation dimension s is len(y).  A zero y
     of any length (also empty) gives the mean-field operator A(0): it is
     assembled once per (mesh, problem) from a0 and b0 alone, cached, and
-    returned read-only, the same object on every call.  It is bitwise
-    the matrix the coefficient tables would give, since a0 + 0 * a_j is
-    a0 exactly.  Above the table-size bound each field is evaluated
-    separably (``_factors``), within roundoff of the table mat-vec.
+    returned read-only, the same object on every call.  Any other y
+    evaluates each field separably (``_factors``).
     """
     y = np.asarray(y, dtype=float)
     if not y.any():
         return _mean_field_stiffness(mesh, problem)
-    tables = _tables(mesh, problem, y.size)
-    if tables is None:
-        geo = _geometry(mesh)
-        fields = [_separable_values(geo, *factors, y)
-                  for factors in _factors(mesh, problem, y.size)]
-    else:
-        fields = [base_q + y @ table for base_q, table in tables]
+    geo = _geometry(mesh)
+    fields = [_separable_values(geo, *factors, y)
+              for factors in _factors(mesh, problem, y.size)]
     return _stiffness(mesh, problem, *fields)
 
 

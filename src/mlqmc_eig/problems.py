@@ -9,13 +9,14 @@ bilinear form.  Evaluation is vectorised over points: every callable
 takes x as one pair ``(x1, x2)`` of coordinate arrays that broadcast
 against each other and returns an array of their broadcast shape.
 
-Every bundled term family is stated once, as 1-D factors
-(``SeparableTerms``): term j is weight * (f(x1) * g(x2)) on a region,
-everywhere or inside or outside the island set I x I.  Called as
-``term(j, x)`` it is evaluated in that order, so on a tensor grid (x1 a
-row, x2 a column) it costs O(n) sines for n^2 points; ``rank_one``
-gives the same terms as sums of rank-one products of 1-D factors, so
-``mesh_fem`` can evaluate a whole field as one small matrix product.
+Every term family is stated once, as 1-D factors (``SeparableTerms``),
+and a series refuses any other: term j is weight * (f(x1) * g(x2)) on a
+region, everywhere or inside or outside the island set I x I.
+``rank_one`` gives terms 1..s as sums of rank-one products of those
+factors, from which ``mesh_fem`` evaluates a whole field as one small
+matrix product; no package code evaluates a single term.  Called as
+``term(j, x)``, a family evaluates term j point-wise in the order
+above, the reference its factors are checked against.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class CoefficientSeries:
     both None when the problem has no reaction term, and a series with
     only one of them is refused.  ``a_min`` is a uniform lower bound on
     a(x, y) over all x and all y in the parameter box, and also a lower
-    bound on c.  The bundled problems state their term families as
-    ``SeparableTerms`` (see ``separable``).
+    bound on c.  Every term family is a ``SeparableTerms``, or one
+    wrapped with ``functools.wraps`` (say, to count its calls); a series
+    with any other family is refused.
     """
 
     name: str
@@ -82,6 +84,8 @@ class CoefficientSeries:
     def __post_init__(self):
         if (self.b0 is None) != (self.b_term is None):
             raise ValueError(f"{self.name}: give both b0 and b_term, or neither")
+        if not all(isinstance(term, SeparableTerms) for term in self.separable):
+            raise ValueError(f"{self.name}: term families must be SeparableTerms")
 
     @property
     def has_b(self) -> bool:
@@ -93,35 +97,13 @@ class CoefficientSeries:
         return ((self.a0, self.a_term), (self.b0, self.b_term))[:1 + self.has_b]
 
     @property
-    def separable(self) -> tuple | None:
+    def separable(self) -> tuple:
         """The ``SeparableTerms`` of each term family of ``fields``.
 
-        None when a family is not one.  A term wrapped with
-        ``functools.wraps`` (say, to count its calls) is looked through,
-        so such a wrapper keeps the separable form.
+        A term wrapped with ``functools.wraps`` (say, to count its calls)
+        is looked through, so such a wrapper keeps the separable form.
         """
-        terms = tuple(inspect.unwrap(term) for _, term in self.fields)
-        return terms if all(isinstance(t, SeparableTerms) for t in terms) else None
-
-    def a_values(self, x: Point, y: np.ndarray) -> np.ndarray:
-        """Truncated a(x, y) with truncation dimension len(y)."""
-        return series_values(self.a0, self.a_term, x, y)
-
-    def b_values(self, x: Point, y: np.ndarray) -> np.ndarray:
-        """Truncated b(x, y); zero without a reaction term."""
-        if not self.has_b:
-            return np.zeros(_shape(x))
-        return series_values(self.b0, self.b_term, x, y)
-
-
-def series_values(base: Coefficient, term: TermFamily, x: Point,
-                  y: np.ndarray) -> np.ndarray:
-    """base(x) + sum_j y_j term(j, x), left to right, skipping y_j = 0."""
-    out = np.asarray(base(x), dtype=float).copy()
-    for j, yj in enumerate(np.asarray(y, dtype=float), start=1):
-        if yj != 0.0:
-            out += yj * term(j, x)
-    return out
+        return tuple(inspect.unwrap(term) for _, term in self.fields)
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,13 +36,14 @@ from mlqmc_eig.sparse_linalg import (
     factorize_positive_definite,
     shifted_operator,
 )
+from series import constant_terms
 
 
 def unit_series():
     return CoefficientSeries(
         name="unit",
         a0=lambda x: np.ones(np.broadcast(*x).shape),
-        a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
+        a_term=constant_terms(),
         c=lambda x: np.ones(np.broadcast(*x).shape),
         a_min=1.0,
     )
@@ -153,6 +154,11 @@ def second_eigenvalue_case(prob):
     return A, M, lams, vecs
 
 
+def counts(stats):
+    """(factorizations, linear solves, RQ steps) of ``stats``."""
+    return stats.factorizations, stats.linear_solves, stats.rq_iterations
+
+
 def assert_restarts_from_lambda_2(A, M, lams, vecs, monkeypatch):
     """An RQ attempt started at the second eigenpair converges there; a
     check that accepts any converged pair returns lambda_2."""
@@ -201,28 +207,37 @@ class TestSafeguardFailures:
     def test_restarts_after_rq_no_convergence(self, prob1, monkeypatch):
         A, M = cold_case(prob1)
         plain, plain_stats = smallest_eigenpair_cold(A, M)
-        calls = []
+        assert counts(plain_stats) == (3, 11, 1)
+        calls, done = [], []
         rq_iteration = eigensolver.rq_iteration
 
         def first_fails(*args):
             calls.append(args)
             if len(calls) == 1:
                 raise NoConvergenceError("injected")
-            return rq_iteration(*args)
+            pair, rq_stats = rq_iteration(*args)
+            done.append(rq_stats)
+            return pair, rq_stats
         monkeypatch.setattr(eigensolver, "rq_iteration", first_fails)
         pair, stats = smallest_eigenpair_cold(A, M)
         assert len(calls) == 2
         assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
         # the failed start made no RQ step, and its shift-0 factorization
-        # serves the restart too; from its random vector the restart takes
-        # two RQ steps
-        assert (plain_stats.factorizations, stats.factorizations) == (3, 4)
-        assert (plain_stats.rq_iterations, stats.rq_iterations) == (1, 2)
+        # serves the restart too: shift 0, two rounds of power solves, the
+        # restart's RQ work and the certificate
+        (restart,) = done
+        assert restart.rq_iterations >= 1
+        assert counts(stats) == (1 + restart.factorizations + 1,
+                                 2 * eigensolver._POWER_STEPS + restart.linear_solves,
+                                 restart.rq_iterations)
 
     def test_counts_the_work_of_a_failed_rq_attempt(self, prob1, monkeypatch):
         A, M = cold_case(prob1)
         plain, plain_stats = smallest_eigenpair_cold(A, M)
-        calls = []
+        # plain is shift 0 with ten power solves, one RQ step and the
+        # certificate
+        assert counts(plain_stats) == (3, 11, 1)
+        calls, spent = [], []
         rq_iteration = eigensolver.rq_iteration
 
         def first_capped(A, M, v, sigma):
@@ -232,19 +247,27 @@ class TestSafeguardFailures:
             if len(calls) == 1:
                 with monkeypatch.context() as patch:
                     patch.setattr(eigensolver, "_MAX_RQ_ITER", 1)
-                    return rq_iteration(A, M, np.ones(A.shape[0]), 0.0)
-            return rq_iteration(A, M, v, sigma)
+                    try:
+                        return rq_iteration(A, M, np.ones(A.shape[0]), 0.0)
+                    except NoConvergenceError as exc:
+                        spent.append(exc.stats)
+                        raise
+            pair, rq_stats = rq_iteration(A, M, v, sigma)
+            spent.append(rq_stats)
+            return pair, rq_stats
         monkeypatch.setattr(eigensolver, "rq_iteration", first_capped)
         pair, stats = smallest_eigenpair_cold(A, M)
         assert len(calls) == 2
         assert pair.lam == pytest.approx(plain.lam, rel=1e-13, abs=0.0)
-        # (factorizations, solves, RQ steps): plain is shift 0 with ten
-        # power solves, one RQ step and the certificate; the restart adds
-        # the failed step, ten more power solves and a second RQ step from
-        # its random vector, and no shift-0 factorization
-        counts = [(st.factorizations, st.linear_solves, st.rq_iterations)
-                  for st in (plain_stats, stats)]
-        assert counts == [(3, 11, 1), (5, 23, 3)]
+        # (factorizations, solves, RQ steps): shift 0, two rounds of power
+        # solves, the failed attempt's one step, the restart's RQ work and
+        # the certificate, and no second shift-0 factorization
+        failed, restart = spent
+        assert failed.rq_iterations == failed.linear_solves == 1
+        assert counts(stats) == (
+            1 + failed.factorizations + restart.factorizations + 1,
+            2 * eigensolver._POWER_STEPS + failed.linear_solves + restart.linear_solves,
+            failed.rq_iterations + restart.rq_iterations)
 
     def test_restarts_when_rq_lands_on_the_second_eigenvalue(self, prob1, monkeypatch):
         A, M, lams, vecs = second_eigenvalue_case(prob1)

@@ -9,6 +9,7 @@ import scipy.linalg
 from mlqmc_eig import (
     CoefficientSeries,
     EstimatorOptions,
+    SeparableTerms,
     adaptive_mlqmc,
     build_uniform_mesh,
     default_levels,
@@ -187,8 +188,7 @@ class TestMlqmcEstimate:
         fragile = CoefficientSeries(
             name="fragile",
             a0=lambda x: np.full(np.broadcast(*x).shape, 0.4),
-            a_term=lambda j, x: np.ones(np.broadcast(*x).shape) if j == 1
-            else np.zeros(np.broadcast(*x).shape),
+            a_term=SeparableTerms(lambda j: (float(j == 1), None, np.ones_like, np.ones_like)),
             c=lambda x: np.ones(np.broadcast(*x).shape),
             a_min=-0.1,    # deliberately violated for some y
         )

@@ -18,6 +18,7 @@ from mlqmc_eig import (
 )
 from mlqmc_eig import mesh_fem
 from mlqmc_eig.mesh_fem import CoefficientBoundError
+from series import a_values, b_values, constant_terms
 
 
 def constant_series(a0=1.0, c=1.0, b0=None):
@@ -26,11 +27,11 @@ def constant_series(a0=1.0, c=1.0, b0=None):
     return CoefficientSeries(
         name=f"const(a={a0},c={c},b={b0})",
         a0=const(a0),
-        a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
+        a_term=constant_terms(),
         c=const(c),
         a_min=min(a0, c),
         b0=None if b0 is None else const(b0),
-        b_term=None if b0 is None else (lambda j, x: np.zeros(np.broadcast(*x).shape)),
+        b_term=None if b0 is None else constant_terms(),
     )
 
 
@@ -69,14 +70,22 @@ def interior_nodes(mesh):
     return np.flatnonzero(~boundary_mask(mesh))
 
 
+def interior_index(mesh):
+    """The DOF of every node, -1 on the boundary: the interior nodes are
+    the DOFs, in node order."""
+    index = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    index[interior_nodes(mesh)] = np.arange(mesh.n_interior)
+    return index
+
+
 def sort_pattern(mesh):
     """The interior CSR pattern by the sort-based build that the stencil
     pattern of ``mesh_fem`` replaced: ``(indices, indptr, slots, keep)``,
     where the local entry ``keep[k]`` of the 9 * nel lands in data slot
     ``slots[k]``."""
-    ele = mesh_elements(mesh)
-    rows = mesh.interior_index[np.repeat(ele, 3, axis=1).ravel()]
-    cols = mesh.interior_index[np.tile(ele, (1, 3)).ravel()]
+    ele, index = mesh_elements(mesh), interior_index(mesh)
+    rows = index[np.repeat(ele, 3, axis=1).ravel()]
+    cols = index[np.tile(ele, (1, 3)).ravel()]
     keep = (rows >= 0) & (cols >= 0)
     dim = mesh.n_interior
     keys = rows[keep] * dim + cols[keep]
@@ -207,16 +216,17 @@ def pointwise_quad_points(mesh):
 
 
 def pointwise_coefficients(mesh, problem, y):
-    """Tables and a, b at the quadrature nodes by the point-wise build
-    that the grid evaluation replaced: each term called once on the flat
-    node list and the rows ``np.stack``-ed; term by term when s = 0."""
+    """Term tables and a, b at the quadrature nodes by the point-wise
+    build that the grid evaluation replaced: each term called once on
+    the flat node list and the rows ``np.stack``-ed, so a field is one
+    mat-vec; the base alone when s = 0."""
     pts = pointwise_quad_points(mesh).reshape(-1, 2)
     x = (pts[:, 0], pts[:, 1])
     ref = {"b": None}
     if y.size == 0:
-        ref["a"] = problem.a_values(x, y)
+        ref["a"] = a_values(problem, x, y)
         if problem.has_b:
-            ref["b"] = problem.b_values(x, y)
+            ref["b"] = b_values(problem, x, y)
         return ref
     ref["a0"] = np.asarray(problem.a0(x), dtype=float)
     ref["aj"] = np.stack([problem.a_term(j, x) for j in range(1, y.size + 1)])
@@ -250,36 +260,20 @@ def far_from_boundary(mesh):
     ele = mesh_elements(mesh)
     near = np.zeros(mesh.n_nodes, dtype=bool)
     near[ele[boundary_mask(mesh)[ele].any(axis=1)]] = True
-    return mesh.interior_index[~near]
+    return interior_index(mesh)[~near]
 
 
-@pytest.fixture
-def tables_at_every_m(monkeypatch):
-    """``_TABLE_MAX_FLOATS`` raised so that every mesh of the test builds
-    coefficient tables; the table cache is cleared before and after."""
-    mesh_fem._tables.cache_clear()
-    monkeypatch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", 2 ** 30)
-    yield
-    mesh_fem._tables.cache_clear()
-
-
-def fields_and_stiffness(monkeypatch, mesh, problem, y, table_max):
-    """The fields handed to ``_stiffness`` and the stiffness matrix at y,
-    with ``_TABLE_MAX_FLOATS`` set to ``table_max``."""
+def fields_and_stiffness(monkeypatch, mesh, problem, y):
+    """The fields handed to ``_stiffness`` and the stiffness matrix at y."""
     stiffness, seen = mesh_fem._stiffness, []
 
     def spy(mesh, problem, *fields):
         seen.append(fields)
         return stiffness(mesh, problem, *fields)
 
-    mesh_fem._tables.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(mesh_fem, "_TABLE_MAX_FLOATS", table_max)
-            patch.setattr(mesh_fem, "_stiffness", spy)
-            A = stiffness_interior(mesh, problem, y)
-    finally:
-        mesh_fem._tables.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_fem, "_stiffness", spy)
+        A = stiffness_interior(mesh, problem, y)
     return seen.pop(), A
 
 
@@ -310,11 +304,16 @@ class TestMesh:
         assert np.allclose(nodes[5], [0, 0.25])
 
     def test_interior_index_roundtrip(self):
+        # the DOF numbering that the sort-based pattern oracle reads
         mesh = build_uniform_mesh(3)
-        assert mesh.interior_index[boundary_mask(mesh)].max() == -1
+        index = interior_index(mesh)
+        assert index[boundary_mask(mesh)].max() == -1
         interior = np.flatnonzero(~boundary_mask(mesh))
-        assert np.array_equal(np.flatnonzero(mesh.interior_index >= 0), interior)
-        assert mesh.interior_index[interior[5]] == 5
+        assert np.array_equal(np.flatnonzero(index >= 0), interior)
+        assert index[interior[5]] == 5
+        # row-major over the interior: node (r, c) is DOF (r-1)(n-1) + c-1
+        n = mesh.n_per_side
+        assert index[2 * (n + 1) + 3] == (n - 1) + 2
 
     def test_dof_scaling(self):
         # M_h ~ h^-2
@@ -386,13 +385,12 @@ class TestAssembly:
         # the stencil windows sum every CSR value in element order, as
         # np.bincount on the slots of the sort-based pattern does: the
         # stiffness at a random y (cell part, plus the mass part of b for
-        # Problem 2) on either coefficient path, and the mass matrix (mass
-        # part only); m = 9 spans several blocks of node rows
+        # Problem 2), and the mass matrix (mass part only); m = 9 spans
+        # several blocks of node rows
         mesh = build_uniform_mesh(m)
         geo = mesh_fem._geometry(mesh)
         y = np.random.default_rng(m).random(64) - 0.5
-        (a, *b), A = fields_and_stiffness(monkeypatch, mesh, problem, y,
-                                          mesh_fem._TABLE_MAX_FLOATS)
+        (a, *b), A = fields_and_stiffness(monkeypatch, mesh, problem, y)
         cell = (geo.area / 3.0) * (a[0::3] + a[1::3] + a[2::3])
         b = b[0] if b else None
         assert np.array_equal(bits(A.data), bits(bincount_assembly_data(geo, cell, b)))
@@ -494,8 +492,8 @@ class TestAssembly:
             y = rng.random(6) - 0.5
             A_oracle, M_oracle = naive_assembly(
                 mesh,
-                lambda x: float(problem.a_values(x, y)),
-                lambda x: float(problem.b_values(x, y)),
+                lambda x: float(a_values(problem, x, y)),
+                lambda x: float(b_values(problem, x, y)),
                 lambda x: float(problem.c(x)),
             )
             A = stiffness_interior(mesh, problem, y).toarray()
@@ -523,30 +521,11 @@ class TestAssembly:
             assert np.array_equal(data, general_assembly_data(geo, grad_dot,
                                                               cell_scalars, quad))
 
-    def test_uncached_coefficients_match_tables(self, prob1, prob2, rng, monkeypatch):
-        # above _TABLE_MAX_FLOATS the coefficient is evaluated separably on
-        # the node grids: within roundoff of the table mat-vec and of the
-        # point-wise a_values and b_values
-        mesh = build_uniform_mesh(4)
-        pts = pointwise_quad_points(mesh).reshape(-1, 2)
-        x = (pts[:, 0], pts[:, 1])
-        for problem in (prob1, prob2):
-            y = rng.random(16) - 0.5
-            cached = stiffness_interior(mesh, problem, y).toarray()
-            fields, uncached = fields_and_stiffness(monkeypatch, mesh, problem, y, 0)
-            assert np.abs(uncached.toarray() - cached).max() <= 1e-13 * np.abs(cached).max()
-            refs = [problem.a_values(x, y)]
-            if problem.has_b:
-                refs.append(problem.b_values(x, y))
-            assert len(fields) == len(refs)
-            for field, ref in zip(fields, refs):
-                assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
-
     def test_signals_nonpositive_a(self):
         bad = CoefficientSeries(
             name="bad",
             a0=lambda x: np.full(np.broadcast(*x).shape, 0.1),
-            a_term=lambda j, x: np.ones(np.broadcast(*x).shape),
+            a_term=constant_terms(1.0),
             c=lambda x: np.ones(np.broadcast(*x).shape),
             a_min=0.1,
         )
@@ -561,7 +540,7 @@ class TestAssembly:
         bad = CoefficientSeries(
             name="badc",
             a0=lambda x: np.ones(np.broadcast(*x).shape),
-            a_term=lambda j, x: np.zeros(np.broadcast(*x).shape),
+            a_term=constant_terms(),
             c=c,
             a_min=1.0,
         )
@@ -615,22 +594,24 @@ class TestGridCoefficients:
     @pytest.mark.parametrize("m", range(3, 7))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
                              ids=["p1", "p1-slow-decay", "p2"])
-    def test_matches_pointwise_build_bitwise(self, problem, m, tables_at_every_m):
+    def test_matches_pointwise_build_bitwise(self, problem, m, monkeypatch):
+        # bitwise at y = 0 and for the mass; at a random y the fields are
+        # one GEMM of the term factors, within roundoff of the point-wise
+        # term tables
         mesh = build_uniform_mesh(m)
         rng = np.random.default_rng(m)
         for y in (rng.random(64) - 0.5, np.zeros(64), np.zeros(0), rng.random(5) - 0.5):
             ref = pointwise_coefficients(mesh, problem, y)
-            if y.size:
-                # one (base values, term table) pair per field, a then b
-                tables = [v for pair in mesh_fem._tables(mesh, problem, y.size)
-                          for v in pair]
-                names = ("a0", "aj", "b0", "bj") if problem.has_b else ("a0", "aj")
-                assert len(tables) == len(names)
-                for table, name in zip(tables, names):
-                    assert np.array_equal(bits(table), bits(ref[name])), name
-            A = stiffness_interior(mesh, problem, y)
-            assert np.array_equal(bits(A.data),
-                                  bits(pointwise_stiffness(mesh, ref["a"], ref["b"])))
+            if y.any():
+                fields, _ = fields_and_stiffness(monkeypatch, mesh, problem, y)
+                refs = (ref["a"], ref["b"])[:1 + problem.has_b]
+                assert len(fields) == len(refs)
+                for field, expected in zip(fields, refs):
+                    assert np.abs(field - expected).max() <= 1e-14 * np.abs(expected).max()
+            else:
+                A = stiffness_interior(mesh, problem, y)
+                assert np.array_equal(bits(A.data),
+                                      bits(pointwise_stiffness(mesh, ref["a"], ref["b"])))
         pts = pointwise_quad_points(mesh).reshape(-1, 2)
         c = problem.c((pts[:, 0], pts[:, 1]))
         assert np.array_equal(bits(mass_interior(mesh, problem).data),
@@ -638,19 +619,17 @@ class TestGridCoefficients:
 
     @pytest.mark.parametrize("m", range(3, 8))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem2()], ids=["p1", "p2"])
-    def test_cell_sums_match_the_axis_sum_bitwise(self, problem, m, tables_at_every_m):
+    def test_cell_sums_match_the_axis_sum_bitwise(self, problem, m, monkeypatch):
         # the stiffness adds the three node values of a cell left to right,
         # as numpy's sum over a length-3 axis does
         mesh = build_uniform_mesh(m)
         geo = mesh_fem._geometry(mesh)
         y = np.random.default_rng(m).random(16) - 0.5
-        a, b = (*(base + y @ table for base, table in mesh_fem._tables(mesh, problem, 16)),
-                None)[:2]
+        (a, *b), A = fields_and_stiffness(monkeypatch, mesh, problem, y)
         axis_sum = a.reshape(-1, 3).sum(axis=1)
         assert np.array_equal(bits(a[0::3] + a[1::3] + a[2::3]), bits(axis_sum))
-        expected = geo.assemble((geo.area / 3.0) * axis_sum, b)
-        assert np.array_equal(bits(stiffness_interior(mesh, problem, y).data),
-                              bits(expected.data))
+        expected = geo.assemble((geo.area / 3.0) * axis_sum, b[0] if b else None)
+        assert np.array_equal(bits(A.data), bits(expected.data))
 
     @pytest.mark.parametrize("m", range(3, 10))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
@@ -658,16 +637,15 @@ class TestGridCoefficients:
     def test_zero_y_is_the_cached_mean_field(self, problem, m, monkeypatch):
         # a zero y of any length is A(0), assembled from a0 and b0 alone; the
         # point-wise build at y = 0 is the oracle for every length, since
-        # a0 + 0 * a_j is a0 exactly.  At m = 9 s = 64 tables exceed
-        # _TABLE_MAX_FLOATS; none is built at any m
+        # a0 + 0 * a_j is a0 exactly.  No term factors are made at any m
         mesh = build_uniform_mesh(m)
         ref = pointwise_coefficients(mesh, problem, np.zeros(0))
         expected = bits(pointwise_stiffness(mesh, ref["a"], ref["b"]))
 
-        def no_tables(*args):
-            raise AssertionError("coefficient tables built at y = 0")
+        def no_factors(*args):
+            raise AssertionError("term factors made at y = 0")
 
-        monkeypatch.setattr(mesh_fem, "_tables", no_tables)
+        monkeypatch.setattr(mesh_fem, "_factors", no_factors)
         first = stiffness_interior(mesh, problem, np.zeros(0))
         assert not first.data.flags.writeable
         assert np.array_equal(bits(first.data), expected)
@@ -676,12 +654,14 @@ class TestGridCoefficients:
 
 
 class TestSeparableFields:
-    """Above _TABLE_MAX_FLOATS a field is base + G diag(y) F^T per node grid."""
+    """At y != 0 a field is base + G diag(y) F^T per node grid."""
 
     @pytest.mark.parametrize("m", range(3, 7))
     @pytest.mark.parametrize("problem", [problem1(2.0), problem1(1.4), problem2()],
                              ids=["p1", "p1-slow-decay", "p2"])
     def test_matches_the_tables(self, problem, m, monkeypatch):
+        # the fields and the stiffness within roundoff of the point-wise
+        # term tables of ``pointwise_coefficients``
         mesh = build_uniform_mesh(m)
         rng = np.random.default_rng(m)
         y = rng.random(64) - 0.5
@@ -692,25 +672,19 @@ class TestSeparableFields:
             exterior[0::2] = 0.0
             ys.append(exterior)
         for y in ys:
-            tabled, A_tab = fields_and_stiffness(monkeypatch, mesh, problem, y, 2 ** 30)
-            separable, A_sep = fields_and_stiffness(monkeypatch, mesh, problem, y, 0)
-            assert len(separable) == len(tabled) == 1 + problem.has_b
-            for sep, tab in zip(separable, tabled):
-                assert np.abs(sep - tab).max() <= 1e-14 * np.abs(tab).max()
-            assert A_sep.indices is A_tab.indices
-            assert np.abs(A_sep.data - A_tab.data).max() <= 1e-13 * np.abs(A_tab.data).max()
+            ref = pointwise_coefficients(mesh, problem, y)
+            fields, A = fields_and_stiffness(monkeypatch, mesh, problem, y)
+            refs = (ref["a"], ref["b"])[:1 + problem.has_b]
+            assert len(fields) == len(refs)
+            for field, expected in zip(fields, refs):
+                assert np.abs(field - expected).max() <= 1e-14 * np.abs(expected).max()
+            expected = pointwise_stiffness(mesh, ref["a"], ref["b"])
+            assert np.abs(A.data - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_tables_up_to_m5_at_s64(self, prob1, prob2):
-        # the bitwise-pinned outputs, on meshes up to h = 1/32, come from
-        # the tables
-        for problem in (prob1, prob2):
-            assert mesh_fem._tables(build_uniform_mesh(5), problem, 64) is not None
-            assert mesh_fem._tables(build_uniform_mesh(6), problem, 64) is None
-
-    def test_wrapped_terms_keep_both_paths(self, prob1, prob2, monkeypatch):
-        # wrapping the terms, as a call counter does, leaves the stiffness
-        # unchanged: the tables call the wrappers, the separable path finds
-        # the factors behind them
+    def test_wrapped_terms_are_looked_through(self, prob1, prob2):
+        # wrapping the terms, as a call counter does, keeps the series
+        # valid and the stiffness bitwise, and the wrappers are never
+        # called: the fields come from the factors behind them
         calls = []
 
         def wrap(term):
@@ -727,20 +701,18 @@ class TestSeparableFields:
         for problem in (prob1, prob2):
             wrapped = dataclasses.replace(problem, a_term=wrap(problem.a_term),
                                           b_term=wrap(problem.b_term))
-            for table_max, n_calls in ((2 ** 30, 16 * len(problem.fields)), (0, 0)):
-                calls.clear()
-                _, A = fields_and_stiffness(monkeypatch, mesh, problem, y, table_max)
-                _, A_wrapped = fields_and_stiffness(monkeypatch, mesh, wrapped, y,
-                                                    table_max)
-                assert np.array_equal(bits(A_wrapped.data), bits(A.data))
-                assert len(calls) == n_calls
+            assert wrapped.separable == problem.separable
+            A = stiffness_interior(mesh, problem, y)
+            A_wrapped = stiffness_interior(mesh, wrapped, y)
+            assert np.array_equal(bits(A_wrapped.data), bits(A.data))
+        assert calls == []
 
-    def test_refuses_terms_without_factors(self, monkeypatch):
-        series = constant_series(b0=1.0)
-        assert series.separable is None
-        with pytest.raises(ValueError, match="SeparableTerms"):
-            fields_and_stiffness(monkeypatch, build_uniform_mesh(3), series,
-                                 np.full(4, 0.1), 0)
+    def test_refuses_terms_without_factors(self, prob2):
+        # a lambda term family is refused when the series is made, for a
+        # and for b alike
+        for field in ("a_term", "b_term"):
+            with pytest.raises(ValueError, match="SeparableTerms"):
+                dataclasses.replace(prob2, **{field: lambda j, x: np.zeros(np.shape(x[0]))})
 
 
 def stencil_prolongate(u_coarse, coarse, fine):
